@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.experiments.runner import ExperimentConfig, build_system
 from repro.nand.geometry import NandGeometry
 from repro.qos.host import MultiTenantHost, TenantSpec
+from repro.sim import _native
 from repro.sim.host import ClosedLoopHost, StreamOp
 from repro.workloads.benchmarks import WorkloadProfile, build_workload
 from repro.workloads.synthetic import sequential_fill
@@ -249,6 +250,7 @@ class PerfbenchResult:
             "kernel": self.kernel,
             "stepping": self.stepping,
             "python": platform.python_version(),
+            "core": _native.describe(),
             "workloads": {name: t.to_dict()
                           for name, t in self.timings.items()},
             "summary": {
@@ -280,7 +282,8 @@ class PerfbenchResult:
         rows.append(
             f"median {self.median_events_per_sec():.0f} events/s, "
             f"min {self.min_events_per_sec():.0f} events/s "
-            f"(scale {self.scale:g}, track_history={self.track_history})"
+            f"(scale {self.scale:g}, track_history={self.track_history}, "
+            f"core {_native.describe()})"
         )
         if self.floor is not None:
             verdict = "PASS" if self.passed() else "FAIL"
@@ -568,6 +571,7 @@ class TraceOverheadResult:
             "span": self.span,
             "rounds": self.rounds,
             "python": platform.python_version(),
+            "core": _native.describe(),
             "methodology": (
                 "paired untraced/traced runs on fresh systems with "
                 "within-pair order alternating per pair, fill + "
@@ -693,6 +697,7 @@ class PhysicsOverheadResult(TraceOverheadResult):
             "span": self.span,
             "rounds": self.rounds,
             "python": platform.python_version(),
+            "core": _native.describe(),
             "physics": {
                 "pe_baseline": PHYSICS_BENCH_PE,
                 "retention_baseline_hours": PHYSICS_BENCH_RETENTION_HOURS,
@@ -889,6 +894,7 @@ class ScaleSweepResult:
             "kernel": self.kernel,
             "stepping": self.stepping,
             "python": platform.python_version(),
+            "core": _native.describe(),
             "methodology": (
                 "per geometry multiplier, paired runs of the "
                 "configuration under test and the heap-kernel "

@@ -1,0 +1,263 @@
+"""Loader for the native dispatch core (``_core.c``).
+
+On first import the C source next to this file is compiled with the
+interpreter's own ``sysconfig`` compiler and flags (plus ``-O2
+-ffp-contract=off``, so every float result is bit-identical to
+Python's) and the shared library is cached under
+``$XDG_CACHE_HOME/repro-rps/native/<abi>-<sha256>/`` (``~/.cache`` when
+``XDG_CACHE_HOME`` is unset), or under the system temp directory when
+that is not writable.  The digest covers the source and the compile
+command, so an edited source builds afresh; a build is published with
+an atomic :func:`os.replace`, so concurrent first imports are safe.
+
+On any failure — no compiler, a failed build, a library that will not
+load — the simulator stays on its pure-Python code and :data:`STATUS`
+says why.  There is no switch: :data:`core` is the loaded module or
+None, and :meth:`repro.sim.kernel.Simulator.run` uses it when present.
+The pure-Python code is the reference; ``tests/test_native_core.py``
+checks the two are byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import inspect
+import os
+import shlex
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+from types import ModuleType
+from typing import Any, Dict, List, Optional, Tuple
+
+#: the C source of the core
+SOURCE = Path(__file__).with_name("_core.c")
+
+#: flags appended to the interpreter's own CFLAGS
+EXTRA_CFLAGS = ("-O2", "-ffp-contract=off")
+
+#: the loaded extension module, or None (pure Python)
+core: Optional[ModuleType] = None
+
+#: ``"native"``, or ``"python: <reason>"`` when the core is not in use
+STATUS = "python: not loaded"
+
+
+def cache_root() -> Path:
+    """Directory holding the cached builds."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro-rps" / "native"
+
+
+def _compile_commands(source: Path, obj: Path, lib: Path, build: str
+                      ) -> List[List[str]]:
+    """Compile and link commands from the interpreter's sysconfig."""
+    var = sysconfig.get_config_var
+    cc, ldshared = var("CC"), var("LDSHARED")
+    if not cc or not ldshared:
+        raise RuntimeError("no C compiler configured in sysconfig")
+    paths = sysconfig.get_paths()
+    includes = sorted({paths["include"], paths["platinclude"]})
+    compile_cmd = (shlex.split(cc) + shlex.split(var("CCSHARED") or "")
+                   + shlex.split(var("CFLAGS") or "") + list(EXTRA_CFLAGS)
+                   + [f"-I{path}" for path in includes]
+                   + [f'-DREPRO_CORE_BUILD="{build}"',
+                      "-c", str(source), "-o", str(obj)])
+    link_cmd = shlex.split(ldshared) + [str(obj), "-o", str(lib)]
+    return [compile_cmd, link_cmd]
+
+
+def build_key(source_bytes: bytes) -> str:
+    """``<abi>-<sha256>`` naming one build of ``source_bytes``."""
+    abi = sysconfig.get_config_var("SOABI") or sys.implementation.cache_tag
+    digest = hashlib.sha256(source_bytes)
+    placeholder = Path("core")
+    for command in _compile_commands(placeholder, placeholder, placeholder,
+                                     ""):
+        digest.update("\0".join(command).encode())
+    return f"{abi}-{digest.hexdigest()}"
+
+
+def _import(path: Path, build: str) -> ModuleType:
+    spec = importlib.util.spec_from_file_location(f"{__name__}._core", path)
+    if spec is None or spec.loader is None:
+        raise ImportError(f"cannot load {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if getattr(module, "BUILD", None) != build:
+        raise ImportError(f"{path} is not build {build}")
+    return module
+
+
+def _build(source: Path, target: Path, build: str) -> None:
+    """Compile ``source`` and publish the library at ``target``."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent,
+                                     prefix=".build-") as scratch:
+        obj = Path(scratch) / "_core.o"
+        lib = Path(scratch) / target.name
+        for command in _compile_commands(source, obj, lib, build):
+            try:
+                done = subprocess.run(command, capture_output=True,
+                                      text=True, timeout=300)
+            except FileNotFoundError:
+                raise RuntimeError(
+                    f"compiler not found: {command[0]}") from None
+            if done.returncode != 0:
+                lines = (done.stderr or done.stdout).strip().splitlines()
+                raise RuntimeError(
+                    f"compile failed: {lines[-1] if lines else command[0]}")
+        os.replace(lib, target)
+
+
+def load(source: Path = SOURCE, root: Optional[Path] = None
+         ) -> Tuple[Optional[ModuleType], str]:
+    """Build (on a cache miss) and import the core.
+
+    Returns ``(module, "native")``, or ``(None, "python: <reason>")``
+    when the core cannot be used; never raises.
+    """
+    try:
+        source_bytes = Path(source).read_bytes()
+        key = build_key(source_bytes)
+    except Exception as exc:  # no source, no compiler configuration
+        return None, f"python: {exc}"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    user = os.getuid() if hasattr(os, "getuid") else "user"
+    roots = [root] if root is not None else [
+        cache_root(),
+        Path(tempfile.gettempdir()) / f"repro-rps-native-{user}"]
+    reason = "no writable cache directory"
+    for base in roots:
+        target = Path(base) / key / f"_core{suffix}"
+        if target.exists():
+            try:
+                return _import(target, key), "native"
+            except Exception:
+                pass  # corrupt or stale: rebuild below
+        try:
+            _build(Path(source), target, key)
+        except OSError as exc:  # the cache directory is not writable
+            reason = f"cannot build in {base}: {exc}"
+            continue
+        except Exception as exc:
+            return None, f"python: {exc}"
+        try:
+            return _import(target, key), "native"
+        except Exception as exc:
+            return None, f"python: cannot load the core: {exc}"
+    return None, f"python: {reason}"
+
+
+def describe() -> str:
+    """Which core runs: ``"native"`` or ``"python: <reason>"``."""
+    if core is None and STATUS == "native":
+        return "python: disabled"
+    return STATUS
+
+
+def coverage() -> Optional[Dict[str, Any]]:
+    """Native-coverage counters since the last :func:`reset_coverage`.
+
+    ``{"native": events handled natively, "python": {reason: events
+    passed to Python}}``, or None on pure Python.  Reasons:
+    ``handler`` (no native implementation), ``patched`` (a class
+    method the core replaces was patched), ``subclass``,
+    ``injector``, ``physics``, ``execute`` (``_execute`` patched on
+    the instance: tracer, OpLog), ``batching``, ``trace``, ``args``.
+    """
+    return core.coverage() if core is not None else None
+
+
+def reset_coverage() -> None:
+    """Zero the coverage counters."""
+    if core is not None:
+        core.reset_coverage()
+
+
+def _stock(cls: type, name: str) -> Any:
+    """The method ``name`` as defined on ``cls`` (or the base defining
+    it), unwrapped from any ``functools.wraps`` wrappers."""
+    for klass in cls.__mro__:
+        if name in klass.__dict__:
+            return inspect.unwrap(klass.__dict__[name])
+    raise AttributeError(f"{cls.__name__}.{name}")
+
+
+def _stock_refs() -> Dict[str, Any]:
+    """The classes, stock methods and constants the core binds to.
+
+    Called by the core on its first run.  ``stock`` lists every
+    ``(class, name, function)`` the core replaces; a run whose classes
+    no longer resolve one of them to the stock function (a test or a
+    profiler patched it) keeps every handler on Python.
+    """
+    import heapq
+
+    from repro.core.flexftl import FlexFtl
+    from repro.ftl.cursor import PhaseCursor
+    from repro.ftl.mapping import MappingTable
+    from repro.nand.geometry import NandGeometry, PhysicalPageAddress
+    from repro.nand.page_types import PageType
+    from repro.scenarios.host import StreamingClosedLoopHost
+    from repro.sim.controller import StorageController
+    from repro.sim.host import ClosedLoopHost, StreamCompletion
+    from repro.sim.kernel import Simulator
+    from repro.sim.ops import FlashOp, OpKind
+    from repro.sim.queues import BufferedWrite, Request, RequestKind, \
+        WriteBuffer
+
+    replaced = (
+        (Simulator, ("_push", "_advance_day")),
+        (StorageController, ("_on_op_done", "_pump", "_drain_admissions",
+                             "_next_read_op", "_execute",
+                             "_complete_read_page", "submit",
+                             "_submit_read")),
+        (FlexFtl, ("next_op", "_gc_step", "_allocate_gc_page",
+                   "_take_msb")),
+        (MappingTable, ("lookup", "map_write")),
+        (NandGeometry, ("address_of",)),
+        (WriteBuffer, ("contains", "pop", "push")),
+        (StreamingClosedLoopHost, ("_issue",)),
+        (ClosedLoopHost, ("_issue",)),
+    )
+    stock = tuple((cls, name, _stock(cls, name))
+                  for cls, names in replaced for name in names)
+    return {
+        "Simulator": Simulator,
+        "StorageController": StorageController,
+        "FlexFtl": FlexFtl,
+        "MappingTable": MappingTable,
+        "WriteBuffer": WriteBuffer,
+        "NandGeometry": NandGeometry,
+        "FlashOp": FlashOp,
+        "BufferedWrite": BufferedWrite,
+        "Request": Request,
+        "PhysicalPageAddress": PhysicalPageAddress,
+        "StreamingClosedLoopHost": StreamingClosedLoopHost,
+        "ClosedLoopHost": ClosedLoopHost,
+        "push": _stock(Simulator, "_push"),
+        "on_op_done": _stock(StorageController, "_on_op_done"),
+        "execute": _stock(StorageController, "_execute"),
+        "flex_next_op": _stock(FlexFtl, "next_op"),
+        "lookup": _stock(MappingTable, "lookup"),
+        "stream_issue": _stock(StreamingClosedLoopHost, "_issue"),
+        "closed_issue": _stock(ClosedLoopHost, "_issue"),
+        "PROGRAM": OpKind.PROGRAM,
+        "READ": OpKind.READ,
+        "REQUEST_READ": RequestKind.READ,
+        "LSB": PageType.LSB,
+        "MSB": PageType.MSB,
+        "PhaseCursor": PhaseCursor,
+        "StreamCompletion": StreamCompletion,
+        "heappush": heapq.heappush,
+        "heappop": heapq.heappop,
+        "stock": stock,
+    }
+
+
+core, STATUS = load()

@@ -1,0 +1,3321 @@
+/*
+ * Native dispatch core of the simulator.
+ *
+ * A C copy of the simulator's hottest Python code:
+ *
+ *   - the calendar kernel's pop/dispatch loop and queue insertion
+ *     (repro.sim.kernel.Simulator.run / _push / _advance_day);
+ *   - the controller's completion, pump, write-buffer drain, read
+ *     dispatch and _execute (repro.sim.controller.StorageController);
+ *   - the closed-loop hosts' request issue (repro.sim.host /
+ *     repro.scenarios.host), which is how requests reach submit();
+ *   - flexFTL's open-coded host-write next_op and the BaseFtl._gc_step
+ *     relocation step (repro.core.flexftl / repro.ftl.base).
+ *
+ * The Python code stays the reference ("oracle"): every function here
+ * mirrors one Python method statement by statement, reads and writes
+ * the very same Python objects in the same order, and calls the Python
+ * method for every rare branch (fault work, fast-block install, parity
+ * enqueue, victim selection, erase, errors).  NAND operations always go
+ * through the controller's bound _array_* methods.  Keep each function
+ * in sync with the method named in its comment; the differential suite
+ * (tests/test_native_core.py) pins the two copies together.
+ *
+ * An event runs natively only when the stock code is in place: see
+ * controller_reason() and stock_classes().  Otherwise its Python
+ * callable is called exactly as the Python run loop would.
+ *
+ * The core keeps no simulation state between calls: every attribute is
+ * read from the Python objects when it is needed, so snapshots pickle
+ * exactly as before.  The only static data are references to the stock
+ * classes and functions (bound on the first run) and the coverage
+ * counters.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <math.h>
+
+#ifndef REPRO_CORE_BUILD
+#define REPRO_CORE_BUILD "unversioned"
+#endif
+
+/* ------------------------------------------------------------------ */
+/* interned attribute names                                           */
+
+#define NAMES(X)                                                        \
+    X(now) X(processed) X(_active) X(_active_pos) X(_active_key)        \
+    X(_horizon_key) X(_buckets) X(_key_heap) X(_far) X(_inv_width)      \
+    X(_span) X(_seq) X(_cancelled) X(_advance_day) X(sim) X(_injector)  \
+    X(_physics) X(_execute) X(_batching) X(_busy) X(_idle)              \
+    X(in_flight) X(_pumping) X(_read_queues) X(_ftl_next_op)            \
+    X(_admissions) X(write_buffer) X(capacity) X(_live)                 \
+    X(_queued_reads) X(ftl) X(wants_background_gc) X(background_op)     \
+    X(_chips_per_channel) X(_channel_free) X(_t_transfer)               \
+    X(_array_program) X(_array_read) X(_array_erase) X(_sim_push)       \
+    X(_on_op_done) X(_complete_request) X(_ftl_lookup)                  \
+    X(_pages_per_chip) X(geometry) X(array) X(is_programmed)            \
+    X(address_of) X(contains) X(coalesce) X(_drain_admissions)          \
+    X(_fifo) X(_resident) X(stats) X(written_pages) X(write_bandwidth)  \
+    X(window) X(page_size) X(first_arrival) X(read_only)                \
+    X(_reject_write) X(buffer_read_hits) X(_trace)                      \
+    X(_pending_invalidations) X(_flush_parity_invalidations) X(chips)   \
+    X(pending) X(fault_work) X(_fault_recovery_op) X(gc) X(background)  \
+    X(_gc_step) X(managers) X(_fast) X(_sbqueue) X(wordlines) X(_next)  \
+    X(free_blocks) X(config) X(gc_reserve_blocks) X(policy) X(u_high)   \
+    X(u_low) X(quota) X(value) X(cap) X(_next_alternate) X(decisions)   \
+    X(block) X(parity_interval) X(_enqueue_parity_backup) X(mapping)    \
+    X(global_block_of) X(_coords) X(_ppb) X(_cpc) X(_take_lsb)          \
+    X(_mark_block_full) X(_select_victim) X(_begin_gc) X(_stale)        \
+    X(pop) X(logical_pages) X(_p2l) X(_l2p) X(_valid) X(_mapped)        \
+    X(map_write) X(_write_clock) X(_block_write_stamp)                  \
+    X(host_programs) X(_after_host_program) X(_after_gc_program)        \
+    X(valid_lpns) X(victim_gb) X(copied) X(gc_programs) X(lookup)       \
+    X(total_pages) X(pages_per_block) X(blocks_per_chip)                \
+    X(chips_per_channel) X(popleft) X(appendleft) X(append)             \
+    X(_current) X(controller) X(tenant) X(kind) X(lpn) X(npages)        \
+    X(think_after) X(issued) X(streams) X(_cursor) X(time)              \
+    X(on_complete) X(addr) X(data) X(pages_remaining) X(submitted_at)   \
+    X(channel) X(chip) X(page) X(host) X(_stock_refs)                   \
+    X(_pages_per_block)
+
+#define DECLARE_NAME(n) static PyObject *S_##n;
+NAMES(DECLARE_NAME)
+#undef DECLARE_NAME
+
+/* ------------------------------------------------------------------ */
+/* references bound on the first run                                  */
+
+static int bound;
+
+static PyTypeObject *T_Simulator, *T_Controller, *T_FlexFtl, *T_Mapping,
+    *T_WriteBuffer, *T_Geometry, *T_FlashOp, *T_BufferedWrite, *T_Request,
+    *T_PPA, *T_StreamHost, *T_ClosedHost;
+static PyObject *F_push, *F_on_op_done, *F_execute, *F_flex_next_op,
+    *F_lookup, *F_stream_issue, *F_closed_issue;
+static PyObject *K_PROGRAM, *K_READ, *R_READ, *P_LSB, *P_MSB;
+static PyObject *C_PhaseCursor, *C_StreamCompletion;
+static PyObject *heappush_fn, *heappop_fn;
+static PyObject *STOCK;           /* tuple of (type, name, function) */
+static PyObject *ZERO, *ONE, *KW_TENANT;
+
+/* slot offsets of the slotted dataclasses */
+static Py_ssize_t OP_kind, OP_addr, OP_tag, OP_lpn, OP_on_complete,
+    OP_data, OP_source;
+static Py_ssize_t RQ_time, RQ_kind, RQ_lpn, RQ_npages,
+    RQ_pages_remaining, RQ_submitted_at, RQ_on_complete;
+static Py_ssize_t BW_lpn, BW_enqueued_at, BW_request;
+
+/* ------------------------------------------------------------------ */
+/* coverage counters                                                  */
+
+enum {
+    WHY_OK = 0,
+    WHY_HANDLER,      /* the handler has no native implementation */
+    WHY_PATCHED,      /* a class method the core replaces was patched */
+    WHY_SUBCLASS,     /* the handler is bound to a subclass instance */
+    WHY_INJECTOR,     /* a fault injector is attached */
+    WHY_PHYSICS,      /* the physics engine is attached */
+    WHY_EXECUTE,      /* _execute is patched on the instance (tracer, OpLog) */
+    WHY_BATCHING,     /* batched stepping is on */
+    WHY_TRACE,        /* a tracer is installed */
+    WHY_ARGS,         /* the event arguments are not the usual tuple */
+    N_REASONS
+};
+
+static const char *REASON_NAMES[N_REASONS] = {
+    "ok", "handler", "patched", "subclass", "injector", "physics",
+    "execute", "batching", "trace", "args",
+};
+
+static unsigned long long cov_native;
+static unsigned long long cov_python[N_REASONS];
+
+/* ------------------------------------------------------------------ */
+/* small helpers                                                      */
+
+#define GA(o, n) PyObject_GetAttr((o), S_##n)
+#define SA(o, n, v) PyObject_SetAttr((o), S_##n, (v))
+#define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
+
+static inline int
+truthy(PyObject *o)
+{
+    if (o == Py_None || o == Py_False)
+        return 0;
+    if (o == Py_True)
+        return 1;
+    return PyObject_IsTrue(o);
+}
+
+static int
+as_ll(PyObject *o, long long *out)
+{
+    int overflow;
+    long long v;
+    if (!PyLong_Check(o)) {
+        PyErr_Format(PyExc_TypeError,
+                     "native core: expected an int, got %.100s",
+                     Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (overflow) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "native core: integer out of range");
+        return -1;
+    }
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+static int
+as_double(PyObject *o, double *out)
+{
+    double v;
+    if (PyFloat_CheckExact(o)) {
+        *out = PyFloat_AS_DOUBLE(o);
+        return 0;
+    }
+    v = PyFloat_AsDouble(o);
+    if (v == -1.0 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+/* getattr as a C long long */
+static int
+ga_ll(PyObject *o, PyObject *name, long long *out)
+{
+    int r;
+    PyObject *v = PyObject_GetAttr(o, name);
+    if (v == NULL)
+        return -1;
+    r = as_ll(v, out);
+    Py_DECREF(v);
+    return r;
+}
+
+static int
+sa_ll(PyObject *o, PyObject *name, long long value)
+{
+    int r;
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    r = PyObject_SetAttr(o, name, v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``o.name += delta`` on an int attribute */
+static int
+attr_add(PyObject *o, PyObject *name, long long delta)
+{
+    long long v;
+    if (ga_ll(o, name, &v) < 0)
+        return -1;
+    return sa_ll(o, name, v + delta);
+}
+
+/* ``seq[i]`` (new reference) */
+static PyObject *
+item_at(PyObject *seq, Py_ssize_t i)
+{
+    PyObject *key, *v;
+    if (PyList_CheckExact(seq) && i >= 0 && i < PyList_GET_SIZE(seq)) {
+        v = PyList_GET_ITEM(seq, i);
+        Py_INCREF(v);
+        return v;
+    }
+    key = PyLong_FromSsize_t(i);
+    if (key == NULL)
+        return NULL;
+    v = PyObject_GetItem(seq, key);
+    Py_DECREF(key);
+    return v;
+}
+
+static int
+item_ll(PyObject *seq, Py_ssize_t i, long long *out)
+{
+    int r;
+    PyObject *v = item_at(seq, i);
+    if (v == NULL)
+        return -1;
+    r = as_ll(v, out);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``seq[i] = v`` */
+static int
+set_item(PyObject *seq, Py_ssize_t i, PyObject *v)
+{
+    PyObject *key;
+    int r;
+    if (PyList_CheckExact(seq) && i >= 0 && i < PyList_GET_SIZE(seq)) {
+        PyObject *old = PyList_GET_ITEM(seq, i);
+        Py_INCREF(v);
+        PyList_SET_ITEM(seq, i, v);
+        Py_DECREF(old);
+        return 0;
+    }
+    key = PyLong_FromSsize_t(i);
+    if (key == NULL)
+        return -1;
+    r = PyObject_SetItem(seq, key, v);
+    Py_DECREF(key);
+    return r;
+}
+
+static int
+set_item_ll(PyObject *seq, Py_ssize_t i, long long value)
+{
+    int r;
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    r = set_item(seq, i, v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``seq[i] += delta`` on an int item */
+static int
+item_add(PyObject *seq, Py_ssize_t i, long long delta)
+{
+    long long v;
+    if (item_ll(seq, i, &v) < 0)
+        return -1;
+    return set_item_ll(seq, i, v + delta);
+}
+
+/* Attribute of a slotted dataclass instance: a direct slot load when
+ * the object is exactly the expected class, getattr otherwise.  New
+ * reference. */
+static inline PyObject *
+slot_get(PyObject *o, PyTypeObject *type, Py_ssize_t off, PyObject *name)
+{
+    if (Py_TYPE(o) == type) {
+        PyObject *v = SLOT(o, off);
+        if (v != NULL) {
+            Py_INCREF(v);
+            return v;
+        }
+    }
+    return PyObject_GetAttr(o, name);
+}
+
+static inline int
+slot_set(PyObject *o, PyTypeObject *type, Py_ssize_t off, PyObject *name,
+         PyObject *v)
+{
+    if (Py_TYPE(o) == type) {
+        PyObject *old = SLOT(o, off);
+        Py_INCREF(v);
+        SLOT(o, off) = v;
+        Py_XDECREF(old);
+        return 0;
+    }
+    return PyObject_SetAttr(o, name, v);
+}
+
+#define OP_GET(op, f) slot_get((op), T_FlashOp, OP_##f, S_##f)
+#define RQ_GET(rq, f) slot_get((rq), T_Request, RQ_##f, S_##f)
+#define RQ_SET(rq, f, v) slot_set((rq), T_Request, RQ_##f, S_##f, (v))
+
+static int
+rq_get_ll(PyObject *rq, Py_ssize_t off, PyObject *name, long long *out)
+{
+    int r;
+    PyObject *v = slot_get(rq, T_Request, off, name);
+    if (v == NULL)
+        return -1;
+    r = as_ll(v, out);
+    Py_DECREF(v);
+    return r;
+}
+
+static int
+rq_set_ll(PyObject *rq, Py_ssize_t off, PyObject *name, long long value)
+{
+    int r;
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    r = slot_set(rq, T_Request, off, name, v);
+    Py_DECREF(v);
+    return r;
+}
+
+static PyObject *
+call_method0(PyObject *o, PyObject *name)
+{
+    return PyObject_CallMethodNoArgs(o, name);
+}
+
+static PyObject *
+call_method1(PyObject *o, PyObject *name, PyObject *a)
+{
+    return PyObject_CallMethodOneArg(o, name, a);
+}
+
+static PyObject *
+call_method2(PyObject *o, PyObject *name, PyObject *a, PyObject *b)
+{
+    PyObject *args[3] = {o, a, b};
+    return PyObject_VectorcallMethod(
+        name, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+}
+
+/* ``a < b`` for two ints (fast when both are exact, small ints) */
+static int
+int_lt(PyObject *a, PyObject *b)
+{
+    if (PyLong_CheckExact(a) && PyLong_CheckExact(b)) {
+        int oa, ob;
+        long long x = PyLong_AsLongLongAndOverflow(a, &oa);
+        long long y = PyLong_AsLongLongAndOverflow(b, &ob);
+        if (!oa && !ob && !((x == -1 || y == -1) && PyErr_Occurred()))
+            return x < y;
+        PyErr_Clear();
+    }
+    return PyObject_RichCompareBool(a, b, Py_LT);
+}
+
+/* Queue-entry ordering, ``a < b`` on ``[time, priority, seq, ...]``:
+ * the list comparison Python does, with a fast path for float times
+ * and int priorities/seqs. */
+static int
+entry_lt(PyObject *a, PyObject *b)
+{
+    if (PyList_Check(a) && PyList_Check(b) && PyList_GET_SIZE(a) >= 3
+            && PyList_GET_SIZE(b) >= 3) {
+        PyObject *ta = PyList_GET_ITEM(a, 0), *tb = PyList_GET_ITEM(b, 0);
+        if (PyFloat_CheckExact(ta) && PyFloat_CheckExact(tb)) {
+            double x = PyFloat_AS_DOUBLE(ta), y = PyFloat_AS_DOUBLE(tb);
+            if (x < y)
+                return 1;
+            if (x > y)
+                return 0;
+            if (x == y) {
+                int i;
+                for (i = 1; i < 3; i++) {
+                    PyObject *pa = PyList_GET_ITEM(a, i);
+                    PyObject *pb = PyList_GET_ITEM(b, i);
+                    int oa, ob;
+                    long long u, v;
+                    if (!PyLong_CheckExact(pa) || !PyLong_CheckExact(pb))
+                        break;
+                    u = PyLong_AsLongLongAndOverflow(pa, &oa);
+                    v = PyLong_AsLongLongAndOverflow(pb, &ob);
+                    if (oa || ob)
+                        break;
+                    if (u != v)
+                        return u < v;
+                }
+            }
+        }
+    }
+    return PyObject_RichCompareBool(a, b, Py_LT);
+}
+
+/* bisect.bisect_right (``right``) or bisect_left over list ``a`` from
+ * ``lo``, with ``lt`` as the ordering; -1 on error */
+static Py_ssize_t
+bisect(PyObject *a, PyObject *x, Py_ssize_t lo, int right,
+       int (*lt)(PyObject *, PyObject *))
+{
+    Py_ssize_t hi = PyList_GET_SIZE(a);
+    while (lo < hi) {
+        Py_ssize_t mid = ((size_t)lo + hi) / 2;
+        PyObject *m;
+        int c;
+        if (mid >= PyList_GET_SIZE(a)) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "list changed size during bisect");
+            return -1;
+        }
+        m = PyList_GET_ITEM(a, mid);
+        Py_INCREF(m);
+        c = right ? lt(x, m) : lt(m, x);
+        Py_DECREF(m);
+        if (c < 0)
+            return -1;
+        if (right ? c : !c)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* bisect.insort_right(a, x, lo) for a queue entry */
+static int
+insort_entry(PyObject *a, PyObject *x, Py_ssize_t lo)
+{
+    if (lo < 0) {
+        PyErr_SetString(PyExc_ValueError, "lo must be non-negative");
+        return -1;
+    }
+    if ((lo = bisect(a, x, lo, 1, entry_lt)) < 0)
+        return -1;
+    return PyList_Insert(a, lo, x);
+}
+
+/* bisect.insort_right(a, x) for a chip id on the idle list */
+static int
+insort_int(PyObject *a, PyObject *x)
+{
+    Py_ssize_t i;
+    if (!PyList_CheckExact(a)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "native core: idle chips are not a list");
+        return -1;
+    }
+    if ((i = bisect(a, x, 0, 1, int_lt)) < 0)
+        return -1;
+    return PyList_Insert(a, i, x);
+}
+
+/* A PhysicalPageAddress built like ``tuple.__new__(PPA, (a, b, c, d))`` */
+static PyObject *
+new_ppa(PyObject *channel, PyObject *chip, PyObject *block, PyObject *page)
+{
+    PyObject *t = T_PPA->tp_alloc(T_PPA, 4);
+    if (t == NULL)
+        return NULL;
+    Py_INCREF(channel);
+    Py_INCREF(chip);
+    Py_INCREF(block);
+    Py_INCREF(page);
+    PyTuple_SET_ITEM(t, 0, channel);
+    PyTuple_SET_ITEM(t, 1, chip);
+    PyTuple_SET_ITEM(t, 2, block);
+    PyTuple_SET_ITEM(t, 3, page);
+    return t;
+}
+
+/* ``addr[i]`` of a PhysicalPageAddress (its ``channel``/``chip``/... field) */
+static PyObject *
+ppa_field(PyObject *addr, Py_ssize_t i, PyObject *name)
+{
+    if (PyTuple_Check(addr) && Py_TYPE(addr) == T_PPA
+            && PyTuple_GET_SIZE(addr) == 4) {
+        PyObject *v = PyTuple_GET_ITEM(addr, i);
+        Py_INCREF(v);
+        return v;
+    }
+    return PyObject_GetAttr(addr, name);
+}
+
+/* FlashOp(kind, addr, tag=tag, lpn=lpn, source=source) */
+static PyObject *
+new_op(PyObject *kind, PyObject *addr, PyObject *tag, PyObject *lpn,
+       PyObject *source)
+{
+    PyObject *op = T_FlashOp->tp_alloc(T_FlashOp, 0);
+    if (op == NULL)
+        return NULL;
+    Py_INCREF(kind);
+    SLOT(op, OP_kind) = kind;
+    Py_INCREF(addr);
+    SLOT(op, OP_addr) = addr;
+    Py_INCREF(tag);
+    SLOT(op, OP_tag) = tag;
+    Py_INCREF(lpn);
+    SLOT(op, OP_lpn) = lpn;
+    Py_INCREF(Py_None);
+    SLOT(op, OP_on_complete) = Py_None;
+    Py_INCREF(Py_None);
+    SLOT(op, OP_data) = Py_None;
+    Py_INCREF(source);
+    SLOT(op, OP_source) = source;
+    return op;
+}
+
+/* next(counter) */
+static PyObject *
+next_of(PyObject *it)
+{
+    PyObject *v;
+    if (Py_TYPE(it)->tp_iternext == NULL) {
+        PyErr_Format(PyExc_TypeError, "'%.100s' object is not an iterator",
+                     Py_TYPE(it)->tp_name);
+        return NULL;
+    }
+    v = Py_TYPE(it)->tp_iternext(it);
+    if (v == NULL && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return v;
+}
+
+/* ------------------------------------------------------------------ */
+/* stock checks                                                       */
+
+/* Every (class, name, function) in STOCK still resolves to the stock
+ * function: nothing patched a method the core replaces. */
+static int
+stock_classes(void)
+{
+    Py_ssize_t i, n = PyTuple_GET_SIZE(STOCK);
+    for (i = 0; i < n; i++) {
+        PyObject *row = PyTuple_GET_ITEM(STOCK, i);
+        PyTypeObject *type = (PyTypeObject *)PyTuple_GET_ITEM(row, 0);
+        PyObject *name = PyTuple_GET_ITEM(row, 1);
+        if (_PyType_Lookup(type, name) != PyTuple_GET_ITEM(row, 2))
+            return 0;
+    }
+    return 1;
+}
+
+/* Whether the controller's native path applies right now: WHY_OK, a
+ * fallback reason, or -1 on error. */
+static int
+controller_reason(PyObject *ctrl)
+{
+    PyObject *v;
+    int reason = WHY_OK;
+    if (Py_TYPE(ctrl) != T_Controller)
+        return WHY_SUBCLASS;
+    if ((v = GA(ctrl, _injector)) == NULL)
+        return -1;
+    if (v != Py_None)
+        reason = WHY_INJECTOR;
+    Py_DECREF(v);
+    if (reason != WHY_OK)
+        return reason;
+    if ((v = GA(ctrl, _physics)) == NULL)
+        return -1;
+    if (v != Py_None)
+        reason = WHY_PHYSICS;
+    Py_DECREF(v);
+    if (reason != WHY_OK)
+        return reason;
+    if ((v = GA(ctrl, _execute)) == NULL)
+        return -1;
+    if (!(PyMethod_Check(v) && PyMethod_GET_FUNCTION(v) == F_execute
+          && PyMethod_GET_SELF(v) == ctrl))
+        reason = WHY_EXECUTE;
+    Py_DECREF(v);
+    if (reason != WHY_OK)
+        return reason;
+    if ((v = GA(ctrl, _batching)) == NULL)
+        return -1;
+    switch (truthy(v)) {
+    case -1:
+        reason = -1;
+        break;
+    case 1:
+        reason = WHY_BATCHING;
+        break;
+    }
+    Py_DECREF(v);
+    return reason;
+}
+
+/* ------------------------------------------------------------------ */
+/* the per-run reference cache                                        */
+
+/*
+ * References the hot paths would otherwise look up on every event:
+ * the controller's bound methods and containers, the kernel's queue
+ * containers, flexFTL's tables and the mapping lists, plus their
+ * constant scalars.  A run() fills the cache lazily and drops it
+ * whenever Python code that could rebind one of them has run: every
+ * event handled in Python (a power cut's halt() and
+ * reset_after_power_loss() rebind the kernel's and the controller's
+ * lists), and every host-side callback reached from native code
+ * (request and op completions, idle-time FTL work, allocation hooks).
+ * Device-internal Python code the core calls (the NAND array, flexFTL's
+ * rare branches) never rebinds them.  Mutable scalars (levels,
+ * counters, cursors) are never cached.
+ */
+typedef struct {
+    /* the running simulator and the current event's time (borrowed) */
+    PyObject *run_sim, *now;
+    int stock;                  /* stock_classes(), or -1: not checked */
+    /* controller group: valid while ctrl != NULL */
+    PyObject *ctrl;
+    int reason;                 /* controller_reason(ctrl) */
+    int traced;                 /* ctrl._trace is not None */
+    int flex;                   /* _ftl_next_op is a stock, untraced FlexFtl's */
+    PyObject *sim, *busy, *idle, *in_flight, *queues, *admissions, *buffer,
+        *channel_free, *program, *read, *erase, *push, *next_op, *ftl,
+        *lookup, *geometry, *array, *seq, *cancelled, *capacity;
+    long long cpc, ppc;
+    double tt;
+    /* the calendar kernel behind a stock _sim_push, or psim == NULL */
+    PyObject *psim, *buckets, *key_heap, *far;
+    double inv;
+    /* a stock, non-coalescing write buffer, or fifo == NULL */
+    PyObject *fifo, *resident;
+    long long cap;
+    /* flexFTL group: valid while fftl != NULL */
+    PyObject *fftl, *pinv, *chips, *managers, *policy, *decisions, *quota,
+        *coords, *mapping, *stamps, *fbuffer;
+    long long reserve, interval, f_ppc, f_ppb, f_cpc;
+    double u_high, u_low;
+    /* mapping group: valid while map != NULL */
+    PyObject *map, *l2p, *p2l, *valid;
+    long long logical, m_ppb;
+} Ctx;
+
+/* a cached reference as a new reference */
+#define CX(cx, field) (Py_INCREF((cx)->field), (cx)->field)
+
+static void
+ctx_flush_mapping(Ctx *cx)
+{
+    Py_CLEAR(cx->map);
+    Py_CLEAR(cx->l2p);
+    Py_CLEAR(cx->p2l);
+    Py_CLEAR(cx->valid);
+}
+
+static void
+ctx_flush_ftl(Ctx *cx)
+{
+    Py_CLEAR(cx->fftl);
+    Py_CLEAR(cx->pinv);
+    Py_CLEAR(cx->chips);
+    Py_CLEAR(cx->managers);
+    Py_CLEAR(cx->policy);
+    Py_CLEAR(cx->decisions);
+    Py_CLEAR(cx->quota);
+    Py_CLEAR(cx->coords);
+    Py_CLEAR(cx->mapping);
+    Py_CLEAR(cx->stamps);
+    Py_CLEAR(cx->fbuffer);
+}
+
+static void
+ctx_flush(Ctx *cx)
+{
+    cx->now = NULL;
+    cx->stock = -1;
+    Py_CLEAR(cx->ctrl);
+    Py_CLEAR(cx->sim);
+    Py_CLEAR(cx->busy);
+    Py_CLEAR(cx->idle);
+    Py_CLEAR(cx->in_flight);
+    Py_CLEAR(cx->queues);
+    Py_CLEAR(cx->admissions);
+    Py_CLEAR(cx->buffer);
+    Py_CLEAR(cx->channel_free);
+    Py_CLEAR(cx->program);
+    Py_CLEAR(cx->read);
+    Py_CLEAR(cx->erase);
+    Py_CLEAR(cx->push);
+    Py_CLEAR(cx->next_op);
+    Py_CLEAR(cx->ftl);
+    Py_CLEAR(cx->lookup);
+    Py_CLEAR(cx->geometry);
+    Py_CLEAR(cx->array);
+    Py_CLEAR(cx->seq);
+    Py_CLEAR(cx->cancelled);
+    Py_CLEAR(cx->capacity);
+    Py_CLEAR(cx->psim);
+    Py_CLEAR(cx->buckets);
+    Py_CLEAR(cx->key_heap);
+    Py_CLEAR(cx->far);
+    Py_CLEAR(cx->fifo);
+    Py_CLEAR(cx->resident);
+    ctx_flush_ftl(cx);
+    ctx_flush_mapping(cx);
+}
+
+/* Load the controller group for ``ctrl`` (no-op when it is loaded). */
+static int
+ctx_controller(Ctx *cx, PyObject *ctrl)
+{
+    PyObject *v;
+    int c;
+
+    if (cx->ctrl == ctrl)
+        return 0;
+    ctx_flush(cx);
+    if ((cx->reason = controller_reason(ctrl)) < 0)
+        return -1;
+    Py_INCREF(ctrl);
+    cx->ctrl = ctrl;
+    if ((v = GA(ctrl, _trace)) == NULL)
+        goto error;
+    cx->traced = v != Py_None;
+    Py_DECREF(v);
+    if ((cx->sim = GA(ctrl, sim)) == NULL
+            || (cx->busy = GA(ctrl, _busy)) == NULL
+            || (cx->idle = GA(ctrl, _idle)) == NULL
+            || (cx->in_flight = GA(ctrl, in_flight)) == NULL
+            || (cx->queues = GA(ctrl, _read_queues)) == NULL
+            || (cx->admissions = GA(ctrl, _admissions)) == NULL
+            || (cx->buffer = GA(ctrl, write_buffer)) == NULL
+            || (cx->channel_free = GA(ctrl, _channel_free)) == NULL
+            || (cx->program = GA(ctrl, _array_program)) == NULL
+            || (cx->read = GA(ctrl, _array_read)) == NULL
+            || (cx->erase = GA(ctrl, _array_erase)) == NULL
+            || (cx->push = GA(ctrl, _sim_push)) == NULL
+            || (cx->next_op = GA(ctrl, _ftl_next_op)) == NULL
+            || (cx->ftl = GA(ctrl, ftl)) == NULL
+            || (cx->lookup = GA(ctrl, _ftl_lookup)) == NULL
+            || (cx->geometry = GA(ctrl, geometry)) == NULL
+            || (cx->array = GA(ctrl, array)) == NULL
+            || (cx->seq = GA(cx->sim, _seq)) == NULL
+            || (cx->cancelled = GA(cx->sim, _cancelled)) == NULL
+            || (cx->capacity = GA(cx->buffer, capacity)) == NULL)
+        goto error;
+    if (ga_ll(ctrl, S__chips_per_channel, &cx->cpc) < 0
+            || ga_ll(ctrl, S__pages_per_chip, &cx->ppc) < 0)
+        goto error;
+    if ((v = GA(ctrl, _t_transfer)) == NULL)
+        goto error;
+    c = as_double(v, &cx->tt);
+    Py_DECREF(v);
+    if (c < 0)
+        goto error;
+    /* flexFTL's next_op natively: the stock method of an untraced FlexFtl */
+    cx->flex = 0;
+    if (PyMethod_Check(cx->next_op)
+            && PyMethod_GET_FUNCTION(cx->next_op) == F_flex_next_op
+            && Py_TYPE(PyMethod_GET_SELF(cx->next_op)) == T_FlexFtl) {
+        if ((v = GA(PyMethod_GET_SELF(cx->next_op), _trace)) == NULL)
+            goto error;
+        cx->flex = v == Py_None;
+        Py_DECREF(v);
+    }
+    /* the calendar kernel's push */
+    if (PyMethod_Check(cx->push) && PyMethod_GET_FUNCTION(cx->push) == F_push
+            && Py_TYPE(PyMethod_GET_SELF(cx->push)) == T_Simulator) {
+        PyObject *psim = PyMethod_GET_SELF(cx->push);
+        if ((v = GA(psim, _inv_width)) == NULL)
+            goto error;
+        c = PyFloat_CheckExact(v);
+        if (c)
+            cx->inv = PyFloat_AS_DOUBLE(v);
+        Py_DECREF(v);
+        if (c) {
+            if ((cx->buckets = GA(psim, _buckets)) == NULL
+                    || (cx->key_heap = GA(psim, _key_heap)) == NULL
+                    || (cx->far = GA(psim, _far)) == NULL)
+                goto error;
+            if (PyDict_CheckExact(cx->buckets)) {
+                Py_INCREF(psim);
+                cx->psim = psim;
+            }
+        }
+    }
+    /* the write buffer's containers (drain fast path) */
+    if (Py_TYPE(cx->buffer) == T_WriteBuffer) {
+        if ((v = GA(cx->buffer, coalesce)) == NULL)
+            goto error;
+        c = truthy(v);
+        Py_DECREF(v);
+        if (c < 0)
+            goto error;
+        if (!c) {
+            if ((cx->fifo = GA(cx->buffer, _fifo)) == NULL
+                    || (cx->resident = GA(cx->buffer, _resident)) == NULL
+                    || as_ll(cx->capacity, &cx->cap) < 0)
+                goto error;
+        }
+    }
+    return 0;
+error:
+    ctx_flush(cx);
+    return -1;
+}
+
+/* Load the flexFTL group for ``ftl`` (an exact FlexFtl). */
+static int
+ctx_ftl(Ctx *cx, PyObject *ftl)
+{
+    PyObject *v, *config;
+    int c;
+
+    if (cx->fftl == ftl)
+        return 0;
+    ctx_flush_ftl(cx);
+    if ((cx->pinv = GA(ftl, _pending_invalidations)) == NULL
+            || (cx->chips = GA(ftl, chips)) == NULL
+            || (cx->managers = GA(ftl, managers)) == NULL
+            || (cx->policy = GA(ftl, policy)) == NULL
+            || (cx->decisions = GA(cx->policy, decisions)) == NULL
+            || (cx->quota = GA(ftl, quota)) == NULL
+            || (cx->coords = GA(ftl, _coords)) == NULL
+            || (cx->mapping = GA(ftl, mapping)) == NULL
+            || (cx->stamps = GA(ftl, _block_write_stamp)) == NULL
+            || (cx->fbuffer = GA(ftl, write_buffer)) == NULL)
+        goto error;
+    if (ga_ll(ftl, S_parity_interval, &cx->interval) < 0
+            || ga_ll(ftl, S__pages_per_chip, &cx->f_ppc) < 0
+            || ga_ll(ftl, S__ppb, &cx->f_ppb) < 0
+            || ga_ll(ftl, S__cpc, &cx->f_cpc) < 0)
+        goto error;
+    if ((config = GA(ftl, config)) == NULL)
+        goto error;
+    c = ga_ll(config, S_gc_reserve_blocks, &cx->reserve);
+    Py_DECREF(config);
+    if (c < 0 || (config = GA(cx->policy, config)) == NULL)
+        goto error;
+    c = -1;
+    if ((v = GA(config, u_high)) != NULL && as_double(v, &cx->u_high) == 0) {
+        Py_DECREF(v);
+        if ((v = GA(config, u_low)) != NULL && as_double(v, &cx->u_low) == 0)
+            c = 0;
+    }
+    Py_XDECREF(v);
+    Py_DECREF(config);
+    if (c < 0)
+        goto error;
+    Py_INCREF(ftl);
+    cx->fftl = ftl;
+    return 0;
+error:
+    ctx_flush_ftl(cx);
+    return -1;
+}
+
+/* Load the mapping group for ``mapping`` (an exact MappingTable). */
+static int
+ctx_mapping(Ctx *cx, PyObject *mapping)
+{
+    if (cx->map == mapping)
+        return 0;
+    ctx_flush_mapping(cx);
+    if ((cx->l2p = GA(mapping, _l2p)) == NULL
+            || (cx->p2l = GA(mapping, _p2l)) == NULL
+            || (cx->valid = GA(mapping, _valid)) == NULL
+            || ga_ll(mapping, S_logical_pages, &cx->logical) < 0
+            || ga_ll(mapping, S__pages_per_block, &cx->m_ppb) < 0) {
+        ctx_flush_mapping(cx);
+        return -1;
+    }
+    Py_INCREF(mapping);
+    cx->map = mapping;
+    return 0;
+}
+
+/* the controller group of ``ctrl``, loaded; 0 or -1 */
+#define NEED_CTRL(cx, ctrl) ctx_controller((cx), (ctrl))
+
+/* ------------------------------------------------------------------ */
+/* kernel: Simulator._push                                            */
+
+/* Simulator._push(entry) on the calendar kernel cached in ``cx``. */
+static int
+kernel_push(Ctx *cx, PyObject *entry)
+{
+    PyObject *sim = cx->psim, *time, *v, *key = NULL, *bucket;
+    double t, x;
+    long long k, active_key, horizon;
+    int r = -1;
+
+    if (!PyList_Check(entry) || PyList_GET_SIZE(entry) < 1)
+        goto python;
+    time = PyList_GET_ITEM(entry, 0);
+    if (!PyFloat_Check(time) && !PyLong_Check(time))
+        goto python;
+    if (as_double(time, &t) < 0)
+        return -1;
+    x = t * cx->inv;
+    if (!(fabs(x) < 4.0e15))
+        goto python;
+    k = (long long)x;               /* int() truncates toward zero */
+    if (ga_ll(sim, S__active_key, &active_key) < 0)
+        return -1;
+    if (k > active_key) {
+        if (ga_ll(sim, S__horizon_key, &horizon) < 0)
+            return -1;
+        if ((key = PyLong_FromLongLong(k)) == NULL)
+            return -1;
+        if (k < horizon) {
+            bucket = PyDict_GetItemWithError(cx->buckets, key);
+            if (bucket == NULL) {
+                PyObject *fresh, *res;
+                if (PyErr_Occurred())
+                    goto done;
+                if ((fresh = PyList_New(1)) == NULL)
+                    goto done;
+                Py_INCREF(entry);
+                PyList_SET_ITEM(fresh, 0, entry);
+                r = PyDict_SetItem(cx->buckets, key, fresh);
+                Py_DECREF(fresh);
+                if (r < 0)
+                    goto done;
+                r = -1;
+                res = PyObject_CallFunctionObjArgs(heappush_fn, cx->key_heap,
+                                                   key, NULL);
+                if (res == NULL)
+                    goto done;
+                Py_DECREF(res);
+            }
+            else if (PyList_CheckExact(bucket)) {
+                if (PyList_Append(bucket, entry) < 0)
+                    goto done;
+            }
+            else {
+                PyObject *res = call_method1(bucket, S_append, entry);
+                if (res == NULL)
+                    goto done;
+                Py_DECREF(res);
+            }
+        }
+        else {
+            PyObject *res = PyObject_CallFunctionObjArgs(heappush_fn, cx->far,
+                                                         entry, NULL);
+            if (res == NULL)
+                goto done;
+            Py_DECREF(res);
+        }
+        r = 0;
+    }
+    else {
+        PyObject *active;
+        long long pos;
+        if ((active = GA(sim, _active)) == NULL)
+            return -1;
+        if (ga_ll(sim, S__active_pos, &pos) < 0) {
+            Py_DECREF(active);
+            return -1;
+        }
+        if (!PyList_CheckExact(active)) {
+            Py_DECREF(active);
+            goto python;
+        }
+        r = insort_entry(active, entry, (Py_ssize_t)pos);
+        Py_DECREF(active);
+    }
+done:
+    Py_XDECREF(key);
+    return r;
+
+python:
+    /* anything unusual: the Python method itself */
+    v = PyObject_CallFunctionObjArgs(F_push, sim, entry, NULL);
+    if (v == NULL)
+        return -1;
+    Py_DECREF(v);
+    return 0;
+}
+
+/* controller._sim_push(entry): natively when it is the stock calendar
+ * push (the controller group of cx is loaded) */
+static int
+sim_push(Ctx *cx, PyObject *entry)
+{
+    PyObject *res;
+    if (cx->psim != NULL)
+        return kernel_push(cx, entry);
+    res = PyObject_CallOneArg(cx->push, entry);
+    ctx_flush(cx);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* Simulator._advance_day: 1 when a bucket was activated, 0 when none
+ * remain.  Migrating entries out of the overflow heap is rare (timers
+ * past the calendar horizon) and stays in the Python method. */
+static int
+kernel_advance_day(PyObject *sim)
+{
+    PyObject *far, *heap, *key = NULL, *buckets = NULL, *active = NULL,
+        *res, *pos0 = NULL;
+    long long k, span;
+    int r = -1;
+
+    if ((far = GA(sim, _far)) == NULL)
+        return -1;
+    if (!PyList_CheckExact(far) || PyList_GET_SIZE(far) != 0) {
+        Py_DECREF(far);
+        res = call_method0(sim, S__advance_day);
+        if (res == NULL)
+            return -1;
+        r = truthy(res);
+        Py_DECREF(res);
+        return r;
+    }
+    Py_DECREF(far);
+    if ((heap = GA(sim, _key_heap)) == NULL)
+        return -1;
+    switch (truthy(heap)) {
+    case -1:
+        goto done;
+    case 0:
+        r = 0;
+        goto done;
+    }
+    /* key = heappop(key_heap) */
+    if ((key = PyObject_CallOneArg(heappop_fn, heap)) == NULL)
+        goto done;
+    /* active = self._buckets.pop(key); active.sort() */
+    if ((buckets = GA(sim, _buckets)) == NULL)
+        goto done;
+    if ((active = call_method1(buckets, S_pop, key)) == NULL)
+        goto done;
+    if (PyList_CheckExact(active)) {
+        if (PyList_Sort(active) < 0)
+            goto done;
+    }
+    else {
+        res = PyObject_CallMethod(active, "sort", NULL);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    if (SA(sim, _active, active) < 0)
+        goto done;
+    if ((pos0 = PyLong_FromLong(0)) == NULL || SA(sim, _active_pos, pos0) < 0)
+        goto done;
+    if (SA(sim, _active_key, key) < 0)
+        goto done;
+    if (as_ll(key, &k) < 0 || ga_ll(sim, S__span, &span) < 0)
+        goto done;
+    if (sa_ll(sim, S__horizon_key, k + span) < 0)
+        goto done;
+    r = 1;
+done:
+    Py_DECREF(heap);
+    Py_XDECREF(key);
+    Py_XDECREF(buckets);
+    Py_XDECREF(active);
+    Py_XDECREF(pos0);
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
+/* controller                                                         */
+
+static PyObject *flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip,
+                              long long cid, PyObject *now);
+
+/* ``self.sim.now`` (new reference) */
+static PyObject *
+ctx_now(Ctx *cx)
+{
+    if (cx->now != NULL && cx->sim == cx->run_sim) {
+        Py_INCREF(cx->now);
+        return cx->now;
+    }
+    return GA(cx->sim, now);
+}
+
+/* ``self._complete_request(request)``: host-side callbacks run */
+static int
+complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
+{
+    PyObject *res = call_method1(ctrl, S__complete_request, request);
+    ctx_flush(cx);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* StorageController._complete_read_page */
+static int
+complete_read_page(Ctx *cx, PyObject *ctrl, PyObject *request)
+{
+    long long remaining;
+    if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                  &remaining) < 0)
+        return -1;
+    if (rq_set_ll(request, RQ_pages_remaining, S_pages_remaining,
+                  remaining - 1) < 0)
+        return -1;
+    if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                  &remaining) < 0)
+        return -1;
+    if (remaining != 0)
+        return 0;
+    return complete_request(cx, ctrl, request);
+}
+
+/* MappingTable.lookup: the ppn object, or None.  New reference. */
+static PyObject *
+mapping_lookup(Ctx *cx, PyObject *mapping, PyObject *lpn)
+{
+    long long l;
+    PyObject *ppn;
+    if (Py_TYPE(mapping) != T_Mapping || !PyLong_CheckExact(lpn))
+        return call_method1(mapping, S_lookup, lpn);
+    if (ctx_mapping(cx, mapping) < 0 || as_ll(lpn, &l) < 0)
+        return NULL;
+    if (!(0 <= l && l < cx->logical))
+        return call_method1(mapping, S_lookup, lpn);  /* raises */
+    if ((ppn = item_at(cx->l2p, (Py_ssize_t)l)) == NULL)
+        return NULL;
+    switch (int_lt(ppn, ZERO)) {
+    case -1:
+        Py_DECREF(ppn);
+        return NULL;
+    case 1:
+        Py_DECREF(ppn);
+        Py_RETURN_NONE;
+    }
+    return ppn;
+}
+
+/* ``self._ftl_lookup(lpn)`` */
+static PyObject *
+controller_lookup(Ctx *cx, PyObject *ctrl, PyObject *lpn)
+{
+    PyObject *fn;
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return NULL;
+    fn = cx->lookup;
+    if (PyMethod_Check(fn) && PyMethod_GET_FUNCTION(fn) == F_lookup)
+        return mapping_lookup(cx, PyMethod_GET_SELF(fn), lpn);
+    return PyObject_CallOneArg(fn, lpn);
+}
+
+/* WriteBuffer.contains: 1/0, or -1 on error */
+static int
+buffer_contains(PyObject *buffer, PyObject *lpn)
+{
+    PyObject *v;
+    int r;
+    if (Py_TYPE(buffer) == T_WriteBuffer) {
+        if ((v = GA(buffer, _resident)) == NULL)
+            return -1;
+        r = PySequence_Contains(v, lpn);
+        Py_DECREF(v);
+        return r;
+    }
+    if ((v = call_method1(buffer, S_contains, lpn)) == NULL)
+        return -1;
+    r = truthy(v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* NandGeometry.address_of (new reference) */
+static PyObject *
+geometry_address_of(PyObject *geometry, PyObject *ppn_obj)
+{
+    long long ppn, total, ppb, bpc, cpc, bg, page, cid, block, channel, chip;
+    PyObject *f[4] = {NULL, NULL, NULL, NULL}, *addr = NULL;
+    int i;
+    if (Py_TYPE(geometry) != T_Geometry || !PyLong_CheckExact(ppn_obj))
+        return call_method1(geometry, S_address_of, ppn_obj);
+    if (as_ll(ppn_obj, &ppn) < 0 || ga_ll(geometry, S_total_pages, &total) < 0)
+        return NULL;
+    if (!(0 <= ppn && ppn < total))
+        return call_method1(geometry, S_address_of, ppn_obj);  /* raises */
+    if (ga_ll(geometry, S_pages_per_block, &ppb) < 0
+            || ga_ll(geometry, S_blocks_per_chip, &bpc) < 0
+            || ga_ll(geometry, S_chips_per_channel, &cpc) < 0)
+        return NULL;
+    bg = ppn / ppb;
+    page = ppn - bg * ppb;
+    cid = bg / bpc;
+    block = bg - cid * bpc;
+    channel = cid / cpc;
+    chip = cid - channel * cpc;
+    if ((f[0] = PyLong_FromLongLong(channel)) != NULL
+            && (f[1] = PyLong_FromLongLong(chip)) != NULL
+            && (f[2] = PyLong_FromLongLong(block)) != NULL
+            && (f[3] = PyLong_FromLongLong(page)) != NULL)
+        addr = new_ppa(f[0], f[1], f[2], f[3]);
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(f[i]);
+    return addr;
+}
+
+/* StorageController._next_read_op: *op and *request receive new
+ * references (both None when the queue drained without a NAND read). */
+static int
+next_read_op(Ctx *cx, PyObject *ctrl, long long cid, PyObject **op,
+             PyObject **request)
+{
+    PyObject *queue, *pair = NULL, *lpn = NULL, *req = NULL, *ppn = NULL,
+        *addr = NULL, *res;
+    long long p;
+    int r = -1, skip;
+
+    *op = NULL;
+    *request = NULL;
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    if ((queue = item_at(cx->queues, (Py_ssize_t)cid)) == NULL)
+        return -1;
+    for (;;) {
+        int more = truthy(queue);
+        if (more < 0)
+            goto done;
+        if (!more)
+            break;
+        /* lpn, request = queue.popleft() */
+        if ((pair = call_method0(queue, S_popleft)) == NULL)
+            goto done;
+        if (PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2) {
+            lpn = PyTuple_GET_ITEM(pair, 0);
+            req = PyTuple_GET_ITEM(pair, 1);
+            Py_INCREF(lpn);
+            Py_INCREF(req);
+        }
+        else {
+            PyObject *seq = PySequence_Fast(pair, "cannot unpack");
+            if (seq == NULL)
+                goto done;
+            if (PySequence_Fast_GET_SIZE(seq) != 2) {
+                Py_DECREF(seq);
+                PyErr_SetString(PyExc_ValueError,
+                                "expected 2 values to unpack");
+                goto done;
+            }
+            lpn = PySequence_Fast_GET_ITEM(seq, 0);
+            req = PySequence_Fast_GET_ITEM(seq, 1);
+            Py_INCREF(lpn);
+            Py_INCREF(req);
+            Py_DECREF(seq);
+        }
+        Py_CLEAR(pair);
+        /* self._queued_reads -= 1 */
+        if (attr_add(ctrl, S__queued_reads, -1) < 0)
+            goto done;
+        if ((ppn = controller_lookup(cx, ctrl, lpn)) == NULL)
+            goto done;
+        skip = ppn == Py_None;
+        if (!skip) {
+            if (NEED_CTRL(cx, ctrl) < 0
+                    || (skip = buffer_contains(cx->buffer, lpn)) < 0)
+                goto done;
+        }
+        if (!skip) {
+            if (as_ll(ppn, &p) < 0)
+                goto done;
+            skip = p / cx->ppc != cid;
+        }
+        if (!skip) {
+            if ((addr = geometry_address_of(cx->geometry, ppn)) == NULL)
+                goto done;
+            if ((res = call_method1(cx->array, S_is_programmed, addr)) == NULL)
+                goto done;
+            skip = truthy(res);
+            Py_DECREF(res);
+            if (skip < 0)
+                goto done;
+            skip = !skip;
+        }
+        if (skip) {
+            /* superseded, relocated, or its program is still in flight */
+            if (complete_read_page(cx, ctrl, req) < 0)
+                goto done;
+            Py_CLEAR(lpn);
+            Py_CLEAR(req);
+            Py_CLEAR(ppn);
+            Py_CLEAR(addr);
+            if (NEED_CTRL(cx, ctrl) < 0)
+                goto done;
+            continue;
+        }
+        /* FlashOp(OpKind.READ, addr, tag="host", lpn=lpn), request */
+        if ((*op = new_op(K_READ, addr, S_host, lpn, Py_None)) == NULL)
+            goto done;
+        *request = req;
+        req = NULL;
+        r = 0;
+        goto done;
+    }
+    Py_INCREF(Py_None);
+    *op = Py_None;
+    Py_INCREF(Py_None);
+    *request = Py_None;
+    r = 0;
+done:
+    Py_DECREF(queue);
+    Py_XDECREF(pair);
+    Py_XDECREF(lpn);
+    Py_XDECREF(req);
+    Py_XDECREF(ppn);
+    Py_XDECREF(addr);
+    return r;
+}
+
+/* StorageController._execute */
+static int
+controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
+                   PyObject *op, PyObject *rreq)
+{
+    PyObject *now = NULL, *kind = NULL, *addr = NULL, *start = NULL,
+        *lat = NULL, *tmp = NULL, *entry = NULL, *done_fn = NULL,
+        *args = NULL, *f0 = NULL, *f1 = NULL, *f2 = NULL;
+    double now_d, start_d, lat_d, total;
+    Py_ssize_t i;
+    int r = -1;
+
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    if (cx->reason == WHY_EXECUTE) {
+        /* patched meanwhile (a callback installed a tracer): call it */
+        PyObject *res = PyObject_CallMethodObjArgs(ctrl, S__execute, chip, op,
+                                                   rreq, NULL);
+        ctx_flush(cx);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        return 0;
+    }
+    if ((now = ctx_now(cx)) == NULL || as_double(now, &now_d) < 0)
+        goto done;
+    if ((kind = OP_GET(op, kind)) == NULL)
+        goto done;
+    if (kind == K_PROGRAM || kind == K_READ) {
+        double tt = cx->tt;
+        Py_ssize_t channel = (Py_ssize_t)(cid / cx->cpc);
+        PyObject *cf = CX(cx, channel_free);
+        start = item_at(cf, channel);
+        if (start == NULL || as_double(start, &start_d) < 0) {
+            Py_DECREF(cf);
+            goto done;
+        }
+        if (start_d < now_d)
+            start_d = now_d;
+        tmp = PyFloat_FromDouble(start_d + tt);
+        if (tmp == NULL || set_item(cf, channel, tmp) < 0) {
+            Py_DECREF(cf);
+            goto done;
+        }
+        Py_DECREF(cf);
+        Py_CLEAR(tmp);
+        if ((addr = OP_GET(op, addr)) == NULL)
+            goto done;
+        if (kind == K_PROGRAM) {
+            PyObject *data = OP_GET(op, data), *fn;
+            PyObject *cargs[2];
+            if (data == NULL)
+                goto done;
+            fn = CX(cx, program);
+            cargs[0] = addr;
+            cargs[1] = data;
+            lat = PyObject_Vectorcall(fn, cargs, 2, NULL);
+            Py_DECREF(fn);
+            Py_DECREF(data);
+            if (lat == NULL)
+                goto done;
+        }
+        else {
+            PyObject *pair, *fn = CX(cx, read);
+            pair = PyObject_CallOneArg(fn, addr);
+            Py_DECREF(fn);
+            if (pair == NULL)
+                goto done;
+            /* _, latency = pair */
+            tmp = PySequence_Fast(pair, "cannot unpack non-iterable");
+            Py_DECREF(pair);
+            if (tmp == NULL)
+                goto done;
+            if (PySequence_Fast_GET_SIZE(tmp) != 2) {
+                PyErr_Format(PyExc_ValueError,
+                             "expected 2 values to unpack, got %zd",
+                             PySequence_Fast_GET_SIZE(tmp));
+                goto done;
+            }
+            lat = PySequence_Fast_GET_ITEM(tmp, 1);
+            Py_INCREF(lat);
+            Py_CLEAR(tmp);
+        }
+        if (as_double(lat, &lat_d) < 0)
+            goto done;
+        total = (start_d - now_d) + tt + lat_d;
+    }
+    else {
+        PyObject *cargs[3], *fn;
+        if ((addr = OP_GET(op, addr)) == NULL)
+            goto done;
+        if ((f0 = ppa_field(addr, 0, S_channel)) == NULL
+                || (f1 = ppa_field(addr, 1, S_chip)) == NULL
+                || (f2 = ppa_field(addr, 2, S_block)) == NULL)
+            goto done;
+        fn = CX(cx, erase);
+        cargs[0] = f0;
+        cargs[1] = f1;
+        cargs[2] = f2;
+        lat = PyObject_Vectorcall(fn, cargs, 3, NULL);
+        Py_DECREF(fn);
+        if (lat == NULL || as_double(lat, &total) < 0)
+            goto done;
+    }
+    /* NAND calls never rebind the controller: the cache stands */
+    /* self._busy[chip_id] = True */
+    if (set_item(cx->busy, (Py_ssize_t)cid, Py_True) < 0)
+        goto done;
+    /* del idle[bisect_left(idle, chip_id)] */
+    if (!PyList_CheckExact(cx->idle)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "native core: idle chips are not a list");
+        goto done;
+    }
+    if ((i = bisect(cx->idle, chip, 0, 0, int_lt)) < 0
+            || PySequence_DelItem(cx->idle, i) < 0)
+        goto done;
+    /* self.in_flight[chip_id] = op */
+    if (PyObject_SetItem(cx->in_flight, chip, op) < 0)
+        goto done;
+    /* self._sim_push([now + total, 0, next(sim._seq), self._on_op_done,
+     *                 (chip_id, op, read_request), False, sim._cancelled]) */
+    if ((tmp = next_of(cx->seq)) == NULL)
+        goto done;
+    if ((done_fn = GA(ctrl, _on_op_done)) == NULL)
+        goto done;
+    if ((args = PyTuple_Pack(3, chip, op, rreq)) == NULL)
+        goto done;
+    if ((entry = PyList_New(7)) == NULL)
+        goto done;
+    {
+        PyObject *t = PyFloat_FromDouble(now_d + total);
+        if (t == NULL)
+            goto done;
+        PyList_SET_ITEM(entry, 0, t);
+    }
+    Py_INCREF(ZERO);
+    PyList_SET_ITEM(entry, 1, ZERO);
+    PyList_SET_ITEM(entry, 2, tmp);
+    tmp = NULL;
+    PyList_SET_ITEM(entry, 3, done_fn);
+    done_fn = NULL;
+    PyList_SET_ITEM(entry, 4, args);
+    args = NULL;
+    Py_INCREF(Py_False);
+    PyList_SET_ITEM(entry, 5, Py_False);
+    PyList_SET_ITEM(entry, 6, CX(cx, cancelled));
+    r = sim_push(cx, entry);
+done:
+    Py_XDECREF(now);
+    Py_XDECREF(kind);
+    Py_XDECREF(addr);
+    Py_XDECREF(start);
+    Py_XDECREF(lat);
+    Py_XDECREF(tmp);
+    Py_XDECREF(entry);
+    Py_XDECREF(done_fn);
+    Py_XDECREF(args);
+    Py_XDECREF(f0);
+    Py_XDECREF(f1);
+    Py_XDECREF(f2);
+    return r;
+}
+
+/* StorageController._drain_admissions (the non-coalescing fast path;
+ * the general form stays in Python).  1 = progress, 0 = none. */
+static int
+controller_drain(Ctx *cx, PyObject *ctrl)
+{
+    PyObject *buffer, *res, *admissions = NULL, *now = NULL, *fifo = NULL,
+        *resident = NULL, *request = NULL, *stats = NULL, *bandwidth = NULL,
+        *buckets = NULL, *key = NULL, *v = NULL;
+    long long capacity, live, pushed = 0, remaining, lpn0, npages, next_lpn,
+        page_size;
+    double now_d, window;
+    int r = -1, c;
+
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    buffer = CX(cx, buffer);
+    if (cx->fifo == NULL) {
+        /* another buffer class, or coalescing: the Python method */
+        res = call_method0(ctrl, S__drain_admissions);
+        ctx_flush(cx);
+        Py_DECREF(buffer);
+        if (res == NULL)
+            return -1;
+        r = truthy(res);
+        Py_DECREF(res);
+        return r;
+    }
+    capacity = cx->cap;
+    admissions = CX(cx, admissions);
+    fifo = CX(cx, fifo);
+    resident = CX(cx, resident);
+    if ((now = ctx_now(cx)) == NULL)
+        goto done;
+    if (ga_ll(buffer, S__live, &live) < 0)
+        goto done;
+    for (;;) {
+        if ((c = truthy(admissions)) < 0)
+            goto done;
+        if (!c || !(live < capacity))
+            break;
+        if ((request = PySequence_GetItem(admissions, 0)) == NULL)
+            goto done;
+        if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                      &remaining) < 0
+                || rq_get_ll(request, RQ_lpn, S_lpn, &lpn0) < 0
+                || rq_get_ll(request, RQ_npages, S_npages, &npages) < 0)
+            goto done;
+        next_lpn = lpn0 + npages - remaining;
+        while (remaining > 0 && live < capacity) {
+            /* BufferedWrite via object.__new__ + slot stores */
+            PyObject *entry, *count;
+            long long n = 0;
+            if ((key = PyLong_FromLongLong(next_lpn)) == NULL)
+                goto done;
+            if ((entry = T_BufferedWrite->tp_alloc(T_BufferedWrite, 0)) == NULL)
+                goto done;
+            Py_INCREF(key);
+            SLOT(entry, BW_lpn) = key;
+            Py_INCREF(now);
+            SLOT(entry, BW_enqueued_at) = now;
+            Py_INCREF(request);
+            SLOT(entry, BW_request) = request;
+            res = call_method1(fifo, S_append, entry);
+            Py_DECREF(entry);
+            if (res == NULL)
+                goto done;
+            Py_DECREF(res);
+            /* resident[next_lpn] = resident.get(next_lpn, 0) + 1 */
+            if (PyDict_CheckExact(resident)) {
+                count = PyDict_GetItemWithError(resident, key);
+                if (count == NULL && PyErr_Occurred())
+                    goto done;
+                if (count != NULL && as_ll(count, &n) < 0)
+                    goto done;
+                if ((v = PyLong_FromLongLong(n + 1)) == NULL
+                        || PyDict_SetItem(resident, key, v) < 0)
+                    goto done;
+            }
+            else {
+                if ((count = PyObject_CallMethod(resident, "get", "OO", key,
+                                                 ZERO)) == NULL)
+                    goto done;
+                v = PyNumber_Add(count, ONE);
+                Py_DECREF(count);
+                if (v == NULL || PyObject_SetItem(resident, key, v) < 0)
+                    goto done;
+            }
+            Py_CLEAR(v);
+            Py_CLEAR(key);
+            next_lpn++;
+            live++;
+            remaining--;
+            pushed++;
+        }
+        if (rq_set_ll(request, RQ_pages_remaining, S_pages_remaining,
+                      remaining) < 0)
+            goto done;
+        if (remaining > 0)
+            break;
+        if ((res = call_method0(admissions, S_popleft)) == NULL)
+            goto done;
+        Py_DECREF(res);
+        /* publish the level before the completion callback runs */
+        if (sa_ll(buffer, S__live, live) < 0
+                || complete_request(cx, ctrl, request) < 0)
+            goto done;
+        Py_CLEAR(request);
+        if (ga_ll(buffer, S__live, &live) < 0)
+            goto done;
+    }
+    if (sa_ll(buffer, S__live, live) < 0)
+        goto done;
+    if (!pushed) {
+        r = 0;
+        goto done;
+    }
+    if ((stats = GA(ctrl, stats)) == NULL
+            || attr_add(stats, S_written_pages, pushed) < 0)
+        goto done;
+    if ((bandwidth = GA(stats, write_bandwidth)) == NULL
+            || (buckets = GA(bandwidth, _buckets)) == NULL)
+        goto done;
+    if ((v = GA(bandwidth, window)) == NULL || as_double(v, &window) < 0
+            || as_double(now, &now_d) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if ((key = PyLong_FromDouble(now_d / window)) == NULL)
+        goto done;
+    if (ga_ll(stats, S_page_size, &page_size) < 0)
+        goto done;
+    {
+        PyObject *count;
+        long long n = 0;
+        if (PyDict_CheckExact(buckets)) {
+            count = PyDict_GetItemWithError(buckets, key);
+            if (count == NULL && PyErr_Occurred())
+                goto done;
+            if (count != NULL && as_ll(count, &n) < 0)
+                goto done;
+        }
+        else {
+            if ((count = PyObject_CallMethod(buckets, "get", "OO", key,
+                                             ZERO)) == NULL)
+                goto done;
+            c = as_ll(count, &n);
+            Py_DECREF(count);
+            if (c < 0)
+                goto done;
+        }
+        if ((v = PyLong_FromLongLong(n + pushed * page_size)) == NULL
+                || PyObject_SetItem(buckets, key, v) < 0)
+            goto done;
+    }
+    r = 1;
+done:
+    Py_DECREF(buffer);
+    Py_XDECREF(admissions);
+    Py_XDECREF(now);
+    Py_XDECREF(fifo);
+    Py_XDECREF(resident);
+    Py_XDECREF(request);
+    Py_XDECREF(stats);
+    Py_XDECREF(bandwidth);
+    Py_XDECREF(buckets);
+    Py_XDECREF(key);
+    Py_XDECREF(v);
+    return r;
+}
+
+/* The pump's ``ftl_next_op(chip_id, now)``: flexFTL's next_op natively
+ * when it is the stock method of an untraced FlexFtl, the Python call
+ * otherwise. */
+static PyObject *
+call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
+             long long cid, PyObject *now)
+{
+    PyObject *args[2] = {chip, now};
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return NULL;
+    if (cx->flex && next_op == cx->next_op)
+        return flex_next_op(cx, PyMethod_GET_SELF(next_op), chip, cid, now);
+    return PyObject_Vectorcall(next_op, args, 2, NULL);
+}
+
+/* ``not host_idle() and ftl.wants_background_gc(chip)`` then
+ * ``ftl.background_op(chip, now)``: the idle-time work of the pump.
+ * Sets *op (new reference) when there is some. */
+static int
+idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
+             PyObject *chip, PyObject *now, PyObject **op)
+{
+    PyObject *v, *ftl, *want;
+    int busy, c;
+
+    /* host_idle(), inlined */
+    if ((busy = truthy(admissions)) != 0)
+        return busy < 0 ? -1 : 0;
+    if ((v = GA(ctrl, _queued_reads)) == NULL)
+        return -1;
+    busy = truthy(v);
+    Py_DECREF(v);
+    if (busy != 0)
+        return busy < 0 ? -1 : 0;
+    if ((v = GA(buffer, _live)) == NULL)
+        return -1;
+    busy = truthy(v);
+    Py_DECREF(v);
+    if (busy != 0)
+        return busy < 0 ? -1 : 0;
+    if ((ftl = GA(ctrl, ftl)) == NULL)
+        return -1;
+    want = call_method1(ftl, S_wants_background_gc, chip);
+    ctx_flush(cx);
+    if (want == NULL) {
+        Py_DECREF(ftl);
+        return -1;
+    }
+    c = truthy(want);
+    Py_DECREF(want);
+    if (c > 0) {
+        PyObject *res = call_method2(ftl, S_background_op, chip, now);
+        ctx_flush(cx);
+        if (res == NULL)
+            c = -1;
+        else {
+            Py_DECREF(*op);
+            *op = res;
+        }
+    }
+    Py_DECREF(ftl);
+    return c < 0 ? -1 : 0;
+}
+
+/* The pump body shared by StorageController._pump and the copy
+ * open-coded in _on_op_done (batching is off: see controller_reason). */
+static int
+controller_pump_body(Ctx *cx, PyObject *ctrl)
+{
+    PyObject *idle, *queues, *next_op, *admissions, *buffer, *capacity,
+        *now = NULL, *snapshot = NULL, *v;
+    int progress = 1, r = -1, c;
+    Py_ssize_t i;
+
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    idle = CX(cx, idle);
+    queues = CX(cx, queues);
+    next_op = CX(cx, next_op);
+    admissions = CX(cx, admissions);
+    buffer = CX(cx, buffer);
+    capacity = CX(cx, capacity);
+    if ((now = ctx_now(cx)) == NULL)
+        goto done;
+    while (progress) {
+        /* progress = bool(admissions) and buffer._live < capacity
+         *            and self._drain_admissions() */
+        progress = 0;
+        if ((c = truthy(admissions)) < 0)
+            goto done;
+        if (c) {
+            if ((v = GA(buffer, _live)) == NULL)
+                goto done;
+            c = int_lt(v, capacity);
+            Py_DECREF(v);
+            if (c < 0)
+                goto done;
+            if (c && (progress = controller_drain(cx, ctrl)) < 0)
+                goto done;
+        }
+        /* snapshot: _execute prunes self._idle while we iterate */
+        Py_XSETREF(snapshot, PySequence_Tuple(idle));
+        if (snapshot == NULL)
+            goto done;
+        for (i = 0; i < PyTuple_GET_SIZE(snapshot); i++) {
+            PyObject *chip = PyTuple_GET_ITEM(snapshot, i), *queue, *op = NULL,
+                *rreq = NULL;
+            long long cid;
+            if (as_ll(chip, &cid) < 0)
+                goto done;
+            if ((queue = PyObject_GetItem(queues, chip)) == NULL)
+                goto done;
+            c = truthy(queue);
+            Py_DECREF(queue);
+            if (c < 0)
+                goto done;
+            if (c) {
+                if (next_read_op(cx, ctrl, cid, &op, &rreq) < 0)
+                    goto done;
+            }
+            else {
+                Py_INCREF(Py_None);
+                op = Py_None;
+                Py_INCREF(Py_None);
+                rreq = Py_None;
+            }
+            if (op == Py_None) {
+                Py_DECREF(op);
+                op = call_next_op(cx, ctrl, next_op, chip, cid, now);
+                if (op == NULL) {
+                    Py_DECREF(rreq);
+                    goto done;
+                }
+            }
+            if (op == Py_None
+                    && idle_time_op(cx, ctrl, admissions, buffer, chip, now,
+                                    &op) < 0) {
+                Py_DECREF(op);
+                Py_DECREF(rreq);
+                goto done;
+            }
+            if (op == Py_None) {
+                Py_DECREF(op);
+                Py_DECREF(rreq);
+                continue;
+            }
+            c = controller_execute(cx, ctrl, chip, cid, op, rreq);
+            Py_DECREF(op);
+            Py_DECREF(rreq);
+            if (c < 0)
+                goto done;
+            progress = 1;
+        }
+    }
+    r = 0;
+done:
+    Py_DECREF(idle);
+    Py_DECREF(queues);
+    Py_DECREF(next_op);
+    Py_DECREF(admissions);
+    Py_DECREF(buffer);
+    Py_DECREF(capacity);
+    Py_XDECREF(now);
+    Py_XDECREF(snapshot);
+    return r;
+}
+
+/* StorageController._pump */
+static int
+controller_pump(Ctx *cx, PyObject *ctrl)
+{
+    PyObject *v = GA(ctrl, _pumping), *et, *ev, *tb;
+    int c, r;
+    if (v == NULL)
+        return -1;
+    c = truthy(v);
+    Py_DECREF(v);
+    if (c)
+        return c < 0 ? -1 : 0;
+    if (SA(ctrl, _pumping, Py_True) < 0)
+        return -1;
+    r = controller_pump_body(cx, ctrl);
+    /* finally: self._pumping = False */
+    PyErr_Fetch(&et, &ev, &tb);
+    if (SA(ctrl, _pumping, Py_False) < 0) {
+        Py_XDECREF(et);
+        Py_XDECREF(ev);
+        Py_XDECREF(tb);
+        return -1;
+    }
+    PyErr_Restore(et, ev, tb);
+    return r;
+}
+
+/* StorageController._on_op_done (stock path: no injector, no physics) */
+static int
+controller_on_op_done(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
+                      PyObject *rreq)
+{
+    PyObject *cb, *res;
+    long long cid;
+
+    if (as_ll(chip, &cid) < 0 || NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    /* self._busy[chip_id] = False; insort(self._idle, chip_id) */
+    if (set_item(cx->busy, (Py_ssize_t)cid, Py_False) < 0
+            || insort_int(cx->idle, chip) < 0)
+        return -1;
+    /* self.in_flight.pop(chip_id, None) */
+    if (PyDict_CheckExact(cx->in_flight)) {
+        int has = PyDict_Contains(cx->in_flight, chip);
+        if (has < 0 || (has && PyDict_DelItem(cx->in_flight, chip) < 0))
+            return -1;
+    }
+    else {
+        if ((res = call_method2(cx->in_flight, S_pop, chip, Py_None)) == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    /* if op.on_complete is not None: op.on_complete(self.sim.now) */
+    if ((cb = OP_GET(op, on_complete)) == NULL)
+        return -1;
+    if (cb != Py_None) {
+        PyObject *now = ctx_now(cx);
+        res = now == NULL ? NULL : PyObject_CallOneArg(cb, now);
+        Py_XDECREF(now);
+        ctx_flush(cx);
+        if (res == NULL) {
+            Py_DECREF(cb);
+            return -1;
+        }
+        Py_DECREF(res);
+    }
+    Py_DECREF(cb);
+    if (rreq != Py_None && complete_read_page(cx, ctrl, rreq) < 0)
+        return -1;
+    return controller_pump(cx, ctrl);
+}
+
+/* StorageController._submit_read */
+static int
+controller_submit_read(Ctx *cx, PyObject *ctrl, PyObject *request)
+{
+    PyObject *lpn = NULL, *ppn = NULL, *stats = NULL, *queue = NULL,
+        *pair = NULL, *res;
+    long long npages, lpn0, offset, p, remaining;
+    int r = -1, c;
+
+    if (rq_get_ll(request, RQ_npages, S_npages, &npages) < 0)
+        return -1;
+    for (offset = 0; offset < npages; offset++) {
+        if (rq_get_ll(request, RQ_lpn, S_lpn, &lpn0) < 0
+                || (lpn = PyLong_FromLongLong(lpn0 + offset)) == NULL
+                || NEED_CTRL(cx, ctrl) < 0)
+            goto done;
+        if ((c = buffer_contains(cx->buffer, lpn)) < 0)
+            goto done;
+        if (c) {
+            if ((stats = GA(ctrl, stats)) == NULL
+                    || attr_add(stats, S_buffer_read_hits, 1) < 0)
+                goto done;
+            Py_CLEAR(stats);
+            if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                          &remaining) < 0
+                    || rq_set_ll(request, RQ_pages_remaining,
+                                 S_pages_remaining, remaining - 1) < 0)
+                goto done;
+            Py_CLEAR(lpn);
+            continue;
+        }
+        if ((ppn = controller_lookup(cx, ctrl, lpn)) == NULL)
+            goto done;
+        if (ppn == Py_None) {
+            /* never-written page: served as zeroes, no NAND access */
+            if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                          &remaining) < 0
+                    || rq_set_ll(request, RQ_pages_remaining,
+                                 S_pages_remaining, remaining - 1) < 0)
+                goto done;
+            Py_CLEAR(lpn);
+            Py_CLEAR(ppn);
+            continue;
+        }
+        if (as_ll(ppn, &p) < 0 || NEED_CTRL(cx, ctrl) < 0)
+            goto done;
+        if ((queue = item_at(cx->queues, (Py_ssize_t)(p / cx->ppc))) == NULL
+                || (pair = PyTuple_Pack(2, lpn, request)) == NULL
+                || (res = call_method1(queue, S_append, pair)) == NULL)
+            goto done;
+        Py_DECREF(res);
+        if (attr_add(ctrl, S__queued_reads, 1) < 0)
+            goto done;
+        Py_CLEAR(lpn);
+        Py_CLEAR(ppn);
+        Py_CLEAR(queue);
+        Py_CLEAR(pair);
+    }
+    if (rq_get_ll(request, RQ_pages_remaining, S_pages_remaining,
+                  &remaining) < 0)
+        goto done;
+    if (remaining == 0 && complete_request(cx, ctrl, request) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(lpn);
+    Py_XDECREF(ppn);
+    Py_XDECREF(stats);
+    Py_XDECREF(queue);
+    Py_XDECREF(pair);
+    return r;
+}
+
+/* StorageController.submit */
+static int
+controller_submit(Ctx *cx, PyObject *ctrl, PyObject *request)
+{
+    PyObject *stats = NULL, *first = NULL, *rtime = NULL, *now = NULL,
+        *kind = NULL, *v = NULL, *res;
+    int r = -1, c;
+
+    if ((stats = GA(ctrl, stats)) == NULL
+            || (first = GA(stats, first_arrival)) == NULL
+            || (rtime = RQ_GET(request, time)) == NULL)
+        goto done;
+    c = 1;
+    if (first != Py_None
+            && (c = PyObject_RichCompareBool(rtime, first, Py_LT)) < 0)
+        goto done;
+    if (c && SA(stats, first_arrival, rtime) < 0)
+        goto done;
+    if (NEED_CTRL(cx, ctrl) < 0 || (now = ctx_now(cx)) == NULL
+            || RQ_SET(request, submitted_at, now) < 0)
+        goto done;
+    if ((kind = RQ_GET(request, kind)) == NULL)
+        goto done;
+    if (kind == R_READ) {
+        if (controller_submit_read(cx, ctrl, request) < 0)
+            goto done;
+    }
+    else {
+        if ((v = GA(ctrl, read_only)) == NULL || (c = truthy(v)) < 0)
+            goto done;
+        if (c) {
+            res = call_method1(ctrl, S__reject_write, request);
+            ctx_flush(cx);
+            if (res == NULL)
+                goto done;
+            Py_DECREF(res);
+            r = 0;
+            goto done;
+        }
+        if (NEED_CTRL(cx, ctrl) < 0
+                || (res = call_method1(cx->admissions, S_append, request)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    r = controller_pump(cx, ctrl);
+done:
+    Py_XDECREF(stats);
+    Py_XDECREF(first);
+    Py_XDECREF(rtime);
+    Py_XDECREF(now);
+    Py_XDECREF(kind);
+    Py_XDECREF(v);
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
+/* hosts                                                              */
+
+/* StreamingClosedLoopHost._issue / ClosedLoopHost._issue */
+static int
+host_issue(Ctx *cx, PyObject *host, PyObject *index, int streaming)
+{
+    PyObject *op = NULL, *ctrl = NULL, *sim = NULL, *now = NULL,
+        *tenant = NULL, *kind = NULL, *lpn = NULL, *npages = NULL,
+        *request = NULL, *think = NULL, *completion = NULL, *v = NULL;
+    int r = -1;
+
+    if (streaming) {
+        /* op = self._current[index]; assert op is not None */
+        if ((v = GA(host, _current)) == NULL
+                || (op = PyObject_GetItem(v, index)) == NULL)
+            goto done;
+        if (op == Py_None) {
+            PyErr_SetNone(PyExc_AssertionError);
+            goto done;
+        }
+    }
+    else {
+        /* op = self.streams[index][self._cursor[index]] */
+        PyObject *stream, *cursor, *pos;
+        if ((v = GA(host, streams)) == NULL
+                || (stream = PyObject_GetItem(v, index)) == NULL)
+            goto done;
+        Py_CLEAR(v);
+        if ((cursor = GA(host, _cursor)) == NULL) {
+            Py_DECREF(stream);
+            goto done;
+        }
+        pos = PyObject_GetItem(cursor, index);
+        Py_DECREF(cursor);
+        if (pos == NULL) {
+            Py_DECREF(stream);
+            goto done;
+        }
+        op = PyObject_GetItem(stream, pos);
+        Py_DECREF(stream);
+        Py_DECREF(pos);
+        if (op == NULL)
+            goto done;
+    }
+    Py_CLEAR(v);
+    if ((ctrl = GA(host, controller)) == NULL)
+        goto done;
+    /* Request(self.sim.now, op.kind, op.lpn, op.npages, tenant=...) */
+    if ((sim = GA(host, sim)) == NULL || (now = GA(sim, now)) == NULL
+            || (kind = GA(op, kind)) == NULL || (lpn = GA(op, lpn)) == NULL
+            || (npages = GA(op, npages)) == NULL)
+        goto done;
+    if (streaming) {
+        if ((tenant = GA(op, tenant)) == NULL)
+            goto done;
+        if (tenant == Py_None) {
+            Py_DECREF(tenant);
+            if ((tenant = GA(host, tenant)) == NULL)
+                goto done;
+        }
+    }
+    else if ((tenant = GA(host, tenant)) == NULL)
+        goto done;
+    {
+        PyObject *args[5] = {now, kind, lpn, npages, tenant};
+        request = PyObject_Vectorcall((PyObject *)T_Request, args, 4,
+                                      KW_TENANT);
+        if (request == NULL)
+            goto done;
+    }
+    /* request.on_complete = StreamCompletion(self, index, op.think_after) */
+    if ((think = GA(op, think_after)) == NULL)
+        goto done;
+    completion = PyObject_CallFunctionObjArgs(C_StreamCompletion, host, index,
+                                              think, NULL);
+    if (completion == NULL || RQ_SET(request, on_complete, completion) < 0)
+        goto done;
+    /* self.controller.submit(request) */
+    if (controller_submit(cx, ctrl, request) < 0)
+        goto done;
+    if (streaming && attr_add(host, S_issued, 1) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(op);
+    Py_XDECREF(ctrl);
+    Py_XDECREF(sim);
+    Py_XDECREF(now);
+    Py_XDECREF(tenant);
+    Py_XDECREF(kind);
+    Py_XDECREF(lpn);
+    Py_XDECREF(npages);
+    Py_XDECREF(request);
+    Py_XDECREF(think);
+    Py_XDECREF(completion);
+    Py_XDECREF(v);
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
+/* flexFTL                                                            */
+
+#define NEED_FTL(cx, ftl) ctx_ftl((cx), (ftl))
+
+/* ``mapping.map_write(lpn, ppn)`` with MappingTable.map_write
+ * open-coded (error paths delegate so the exact exception is raised). */
+static int
+mapping_map_write(Ctx *cx, PyObject *mapping, PyObject *lpn, long long ppn)
+{
+    PyObject *ppn_obj, *res;
+    long long l, cur = 0, old, ppb;
+
+    if (Py_TYPE(mapping) == T_Mapping && PyLong_CheckExact(lpn)) {
+        if (ctx_mapping(cx, mapping) < 0 || as_ll(lpn, &l) < 0)
+            return -1;
+        if (0 <= l && l < cx->logical
+                && item_ll(cx->p2l, (Py_ssize_t)ppn, &cur) < 0)
+            return -1;
+        if (0 <= l && l < cx->logical && cur < 0) {
+            ppb = cx->m_ppb;
+            if (item_ll(cx->l2p, (Py_ssize_t)l, &old) < 0)
+                return -1;
+            if (old >= 0) {
+                if (set_item_ll(cx->p2l, (Py_ssize_t)old, -1) < 0
+                        || item_add(cx->valid, (Py_ssize_t)(old / ppb), -1) < 0
+                        || attr_add(mapping, S__mapped, -1) < 0)
+                    return -1;
+            }
+            if (set_item_ll(cx->l2p, (Py_ssize_t)l, ppn) < 0
+                    || set_item(cx->p2l, (Py_ssize_t)ppn, lpn) < 0
+                    || item_add(cx->valid, (Py_ssize_t)(ppn / ppb), 1) < 0
+                    || attr_add(mapping, S__mapped, 1) < 0)
+                return -1;
+            return 0;
+        }
+    }
+    /* another mapping class, or the error path (which raises) */
+    if ((ppn_obj = PyLong_FromLongLong(ppn)) == NULL)
+        return -1;
+    res = call_method2(mapping, S_map_write, lpn, ppn_obj);
+    Py_DECREF(ppn_obj);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* ``self._write_clock += 1; self._block_write_stamp[gb] = self._write_clock`` */
+static int
+note_block_write(Ctx *cx, PyObject *ftl, long long gb)
+{
+    long long clock;
+    if (NEED_FTL(cx, ftl) < 0 || ga_ll(ftl, S__write_clock, &clock) < 0
+            || sa_ll(ftl, S__write_clock, clock + 1) < 0)
+        return -1;
+    return set_item_ll(cx->stamps, (Py_ssize_t)gb, clock + 1);
+}
+
+/* quota.value += delta (saturating at quota.cap when ``saturate``) */
+static int
+quota_add(Ctx *cx, long long delta, int saturate)
+{
+    long long value, cap;
+    if (ga_ll(cx->quota, S_value, &value) < 0)
+        return -1;
+    if (saturate) {
+        if (ga_ll(cx->quota, S_cap, &cap) < 0)
+            return -1;
+        if (!(value < cap))
+            return 0;
+    }
+    return sa_ll(cx->quota, S_value, value + delta);
+}
+
+/* Address of page ``page`` of ``block`` on the chip, built from
+ * ``channel, chip = self._coords[chip_id]`` (new reference) */
+static PyObject *
+chip_page_address(Ctx *cx, long long cid, PyObject *block, long long page)
+{
+    PyObject *pair, *seq, *page_obj, *addr;
+    if ((pair = item_at(cx->coords, (Py_ssize_t)cid)) == NULL)
+        return NULL;
+    seq = PySequence_Fast(pair, "cannot unpack non-iterable");
+    Py_DECREF(pair);
+    if (seq == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != 2) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError, "expected 2 values to unpack");
+        return NULL;
+    }
+    page_obj = PyLong_FromLongLong(page);
+    addr = page_obj == NULL ? NULL
+        : new_ppa(PySequence_Fast_GET_ITEM(seq, 0),
+                  PySequence_Fast_GET_ITEM(seq, 1), block, page_obj);
+    Py_DECREF(seq);
+    Py_XDECREF(page_obj);
+    return addr;
+}
+
+/* FlexFtl._take_msb (also the MSB branch open-coded in next_op).
+ * 1 with *addr set (new reference), 0 when the SBQueue is empty. */
+static int
+flex_take_msb(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+              PyObject **addr)
+{
+    PyObject *manager = NULL, *sbqueue = NULL, *cursor = NULL, *block = NULL,
+        *res;
+    long long wordline, wordlines;
+    int r = -1, c, full;
+
+    *addr = NULL;
+    if (NEED_FTL(cx, ftl) < 0
+            || (manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
+            || (sbqueue = GA(manager, _sbqueue)) == NULL)
+        goto done;
+    if ((c = truthy(sbqueue)) <= 0) {
+        r = c;
+        goto done;
+    }
+    if ((cursor = PySequence_GetItem(sbqueue, 0)) == NULL
+            || ga_ll(cursor, S__next, &wordline) < 0
+            || sa_ll(cursor, S__next, wordline + 1) < 0
+            || (block = GA(cursor, block)) == NULL
+            || ga_ll(manager, S_wordlines, &wordlines) < 0)
+        goto done;
+    full = wordline + 1 >= wordlines;
+    if (full) {
+        if ((res = call_method0(sbqueue, S_popleft)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    if (quota_add(cx, 1, 1) < 0
+            || (*addr = chip_page_address(cx, cid, block,
+                                          2 * wordline + 1)) == NULL)
+        goto done;
+    if (full) {
+        /* block fully written: GC-eligible, parity page now dead */
+        if ((res = call_method2(ftl, S__mark_block_full, chip, block)) == NULL) {
+            Py_CLEAR(*addr);
+            goto done;
+        }
+        Py_DECREF(res);
+    }
+    r = 1;
+done:
+    Py_XDECREF(manager);
+    Py_XDECREF(sbqueue);
+    Py_XDECREF(cursor);
+    Py_XDECREF(block);
+    return r;
+}
+
+/* ``a, b = pair`` (new references) */
+static int
+unpack2(PyObject *pair, PyObject **a, PyObject **b)
+{
+    PyObject *seq = PySequence_Fast(pair, "cannot unpack non-iterable");
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != 2) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError, "expected 2 values to unpack");
+        return -1;
+    }
+    *a = PySequence_Fast_GET_ITEM(seq, 0);
+    *b = PySequence_Fast_GET_ITEM(seq, 1);
+    Py_INCREF(*a);
+    Py_INCREF(*b);
+    Py_DECREF(seq);
+    return 0;
+}
+
+/* ppn of a PhysicalPageAddress on the flexFTL's device:
+ * ``(channel * _cpc + chip) * _pages_per_chip + block * _ppb + page`` */
+static int
+addr_ppn(Ctx *cx, PyObject *addr, long long *ppn)
+{
+    long long f[4];
+    PyObject *names[4] = {S_channel, S_chip, S_block, S_page};
+    int i;
+    for (i = 0; i < 4; i++) {
+        PyObject *v = ppa_field(addr, i, names[i]);
+        int r;
+        if (v == NULL)
+            return -1;
+        r = as_ll(v, &f[i]);
+        Py_DECREF(v);
+        if (r < 0)
+            return -1;
+    }
+    *ppn = (f[0] * cx->f_cpc + f[1]) * cx->f_ppc + f[2] * cx->f_ppb + f[3];
+    return 0;
+}
+
+/* BaseFtl._gc_step for a stock FlexFtl: the relocation step natively
+ * (allocating like FlexFtl._allocate_gc_page); the victim's erase, once
+ * it is drained, stays in the Python method. */
+static PyObject *
+flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
+{
+    PyObject *state = NULL, *job = NULL, *lpns = NULL, *lpn = NULL,
+        *mapping = NULL, *ppn = NULL, *taddr = NULL, *tptype = NULL,
+        *saddr = NULL, *hook = NULL, *pending = NULL, *op = NULL,
+        *res = NULL, *out = NULL, *target, *geometry;
+    long long p, ppb, victim_gb, tppn;
+    int c;
+
+    if (NEED_FTL(cx, ftl) < 0
+            || (state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL
+            || (job = GA(state, gc)) == NULL)
+        goto done;
+    if (job == Py_None) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    ppb = cx->f_ppb;
+    mapping = CX(cx, mapping);
+    if ((lpns = GA(job, valid_lpns)) == NULL)
+        goto done;
+    for (;;) {
+        if ((c = truthy(lpns)) < 0)
+            goto done;
+        if (!c)
+            break;
+        if ((lpn = call_method0(lpns, S_popleft)) == NULL
+                || (ppn = mapping_lookup(cx, mapping, lpn)) == NULL)
+            goto done;
+        if (ppn != Py_None) {
+            if (as_ll(ppn, &p) < 0
+                    || ga_ll(job, S_victim_gb, &victim_gb) < 0)
+                goto done;
+        }
+        if (ppn == Py_None || p / ppb != victim_gb) {
+            /* superseded by a newer host write meanwhile */
+            Py_CLEAR(lpn);
+            Py_CLEAR(ppn);
+            continue;
+        }
+        /* target = self._allocate_gc_page(chip_id) */
+        if ((c = flex_take_msb(cx, ftl, chip, cid, &taddr)) < 0)
+            goto done;
+        if (c) {
+            Py_INCREF(P_MSB);
+            tptype = P_MSB;
+        }
+        else {
+            if ((target = call_method2(ftl, S__take_lsb, chip, Py_True)) == NULL)
+                goto done;
+            if (target == Py_None) {
+                /* no room to relocate: abandon for now, retry later */
+                Py_DECREF(target);
+                if ((res = call_method1(lpns, S_appendleft, lpn)) == NULL)
+                    goto done;
+                Py_INCREF(Py_None);
+                out = Py_None;
+                goto done;
+            }
+            c = unpack2(target, &taddr, &tptype);
+            Py_DECREF(target);
+            if (c < 0)
+                goto done;
+        }
+        if ((geometry = GA(ftl, geometry)) == NULL)
+            goto done;
+        saddr = geometry_address_of(geometry, ppn);
+        Py_DECREF(geometry);
+        if (saddr == NULL || NEED_FTL(cx, ftl) < 0
+                || addr_ppn(cx, taddr, &tppn) < 0
+                || mapping_map_write(cx, mapping, lpn, tppn) < 0
+                || note_block_write(cx, ftl, tppn / ppb) < 0
+                || attr_add(ftl, S_gc_programs, 1) < 0
+                || attr_add(job, S_copied, 1) < 0)
+            goto done;
+        if ((hook = GA(ftl, _after_gc_program)) == NULL)
+            goto done;
+        if (hook != Py_None) {
+            res = PyObject_CallFunctionObjArgs(hook, chip, taddr, tptype, NULL);
+            ctx_flush(cx);
+            if (res == NULL)
+                goto done;
+            Py_CLEAR(res);
+        }
+        /* state.pending.append(FlashOp(PROGRAM, target_addr, tag="gc",
+         *                              lpn=lpn, source=source_addr)) */
+        if ((op = new_op(K_PROGRAM, taddr, S_gc, lpn, saddr)) == NULL
+                || (pending = GA(state, pending)) == NULL
+                || (res = call_method1(pending, S_append, op)) == NULL)
+            goto done;
+        out = new_op(K_READ, saddr, S_gc, lpn, Py_None);
+        goto done;
+    }
+    /* victim drained: the Python step erases and recycles it */
+    out = call_method1(ftl, S__gc_step, chip);
+    ctx_flush(cx);
+done:
+    Py_XDECREF(state);
+    Py_XDECREF(job);
+    Py_XDECREF(lpns);
+    Py_XDECREF(lpn);
+    Py_XDECREF(mapping);
+    Py_XDECREF(ppn);
+    Py_XDECREF(taddr);
+    Py_XDECREF(tptype);
+    Py_XDECREF(saddr);
+    Py_XDECREF(hook);
+    Py_XDECREF(pending);
+    Py_XDECREF(op);
+    Py_XDECREF(res);
+    return out;
+}
+
+/* ``policy.decisions[choice] += 1`` */
+static int
+count_decision(Ctx *cx, PyObject *choice)
+{
+    PyObject *v = PyObject_GetItem(cx->decisions, choice), *nv;
+    int r;
+    if (v == NULL)
+        return -1;
+    nv = PyNumber_Add(v, ONE);
+    Py_DECREF(v);
+    if (nv == NULL)
+        return -1;
+    r = PyObject_SetItem(cx->decisions, choice, nv);
+    Py_DECREF(nv);
+    return r;
+}
+
+/* ``self._enqueue_parity_backup(chip_id,
+ *                                owner=self.mapping.global_block_of(chip_id, block))`` */
+static int
+enqueue_parity(Ctx *cx, PyObject *ftl, PyObject *chip, PyObject *block)
+{
+    PyObject *owner, *res;
+    if (NEED_FTL(cx, ftl) < 0)
+        return -1;
+    owner = call_method2(cx->mapping, S_global_block_of, chip, block);
+    if (owner == NULL)
+        return -1;
+    res = call_method2(ftl, S__enqueue_parity_backup, chip, owner);
+    Py_DECREF(owner);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The page-type choice of FlexFtl.next_op (PolicyManager.choose with
+ * both page types available); borrowed reference or NULL. */
+static PyObject *
+flex_choose(Ctx *cx, PyObject *buffer)
+{
+    PyObject *v, *choice;
+    long long live, capacity, q;
+    double utilization;
+
+    if (ga_ll(buffer, S__live, &live) < 0
+            || ga_ll(buffer, S_capacity, &capacity) < 0)
+        return NULL;
+    utilization = (double)live / (double)capacity;
+    if (utilization > cx->u_high) {
+        if (ga_ll(cx->quota, S_value, &q) < 0)
+            return NULL;
+        if (q > 0)
+            return P_LSB;
+    }
+    else if (utilization < cx->u_low)
+        return P_MSB;
+    /* the alternating choice */
+    if ((v = GA(cx->policy, _next_alternate)) == NULL)
+        return NULL;
+    choice = v == P_LSB ? P_LSB : v == P_MSB ? P_MSB : NULL;
+    Py_DECREF(v);
+    if (choice == NULL) {
+        PyErr_SetString(PyExc_TypeError, "native core: unexpected page type");
+        return NULL;
+    }
+    if (SA(cx->policy, _next_alternate, choice == P_LSB ? P_MSB : P_LSB) < 0)
+        return NULL;
+    return choice;
+}
+
+/* The write-blocked branch of FlexFtl.next_op: start (or promote) a
+ * foreground collection and step it. */
+static PyObject *
+flex_write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
+                   long long cid)
+{
+    PyObject *gc, *v, *res;
+    int c;
+
+    if ((gc = GA(state, gc)) == NULL)
+        return NULL;
+    if (gc == Py_None) {
+        PyObject *victim = call_method1(ftl, S__select_victim, chip);
+        if (victim == NULL)
+            goto error;
+        if (victim != Py_None) {
+            res = PyObject_CallMethodObjArgs(ftl, S__begin_gc, chip, victim,
+                                             Py_False, NULL);
+            if (res == NULL) {
+                Py_DECREF(victim);
+                goto error;
+            }
+            Py_DECREF(res);
+        }
+        Py_DECREF(victim);
+    }
+    else {
+        if ((v = GA(gc, background)) == NULL)
+            goto error;
+        c = truthy(v);
+        Py_DECREF(v);
+        if (c < 0 || (c && SA(gc, background, Py_False) < 0))
+            goto error;
+    }
+    Py_SETREF(gc, GA(state, gc));
+    if (gc == NULL)
+        return NULL;
+    if (gc != Py_None) {
+        if ((v = GA(gc, background)) == NULL)
+            goto error;
+        c = truthy(v);
+        Py_DECREF(v);
+        if (c < 0)
+            goto error;
+        if (!c) {
+            Py_DECREF(gc);
+            return flex_gc_step(cx, ftl, chip, cid);
+        }
+    }
+    Py_DECREF(gc);
+    Py_RETURN_NONE;
+error:
+    Py_DECREF(gc);
+    return NULL;
+}
+
+/* FlexFtl.next_op: deferred parity invalidation, the base dispatch and
+ * the open-coded host-write pipeline. */
+static PyObject *
+flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+             PyObject *now)
+{
+    PyObject *v = NULL, *state = NULL, *buffer = NULL, *manager = NULL,
+        *fast = NULL, *sbqueue = NULL, *choice, *addr = NULL, *ptype = NULL,
+        *alloc = NULL, *block = NULL, *entry = NULL, *lpn = NULL,
+        *out = NULL, *res;
+    long long wordlines, fnext = 0, free_n, live, wordline, blk, ppn = 0;
+    int c, lsb_available, msb_available;
+
+    if (NEED_FTL(cx, ftl) < 0)
+        return NULL;
+    /* if self._pending_invalidations[chip_id]:
+     *     self._flush_parity_invalidations(chip_id) */
+    if ((v = item_at(cx->pinv, (Py_ssize_t)cid)) == NULL
+            || (c = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (c) {
+        if ((res = call_method1(ftl, S__flush_parity_invalidations, chip)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    if ((state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL)
+        goto done;
+    /* if state.pending: return state.pending.popleft() */
+    if ((v = GA(state, pending)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    if (c) {
+        out = call_method0(v, S_popleft);
+        goto done;
+    }
+    Py_CLEAR(v);
+    /* fault work: the Python recovery step */
+    if ((v = GA(state, fault_work)) == NULL)
+        goto done;
+    c = v != Py_None;
+    Py_CLEAR(v);
+    if (c) {
+        res = call_method2(ftl, S__fault_recovery_op, chip, now);
+        ctx_flush(cx);
+        if (res == NULL)
+            goto done;
+        if (res != Py_None) {
+            out = res;
+            goto done;
+        }
+        Py_DECREF(res);
+        if (NEED_FTL(cx, ftl) < 0)
+            goto done;
+    }
+    /* a foreground GC in progress takes the chip */
+    if ((v = GA(state, gc)) == NULL)
+        goto done;
+    if (v != Py_None) {
+        PyObject *bg = GA(v, background);
+        if (bg == NULL)
+            goto done;
+        c = truthy(bg);
+        Py_DECREF(bg);
+        if (c < 0)
+            goto done;
+        if (!c) {
+            out = flex_gc_step(cx, ftl, chip, cid);
+            goto done;
+        }
+    }
+    Py_CLEAR(v);
+    /* ---- BaseFtl._host_write_op ---- */
+    buffer = CX(cx, fbuffer);
+    if (ga_ll(buffer, S__live, &live) < 0)
+        goto done;
+    if (!live) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    /* ---- _allocate_host_page ---- */
+    if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
+            || (fast = GA(manager, _fast)) == NULL
+            || (sbqueue = GA(manager, _sbqueue)) == NULL
+            || ga_ll(manager, S_wordlines, &wordlines) < 0)
+        goto done;
+    if (fast != Py_None && ga_ll(fast, S__next, &fnext) < 0)
+        goto done;
+    if (fast != Py_None && fnext < wordlines)
+        lsb_available = 1;
+    else {
+        if ((v = GA(state, free_blocks)) == NULL
+                || (free_n = PyObject_Length(v)) < 0)
+            goto done;
+        Py_CLEAR(v);
+        lsb_available = free_n > cx->reserve;
+    }
+    if ((msb_available = truthy(sbqueue)) < 0)
+        goto done;
+    if (lsb_available || msb_available) {
+        if (!msb_available)
+            choice = P_LSB;
+        else if (!lsb_available)
+            choice = P_MSB;
+        else if ((choice = flex_choose(cx, buffer)) == NULL)
+            goto done;
+        if (count_decision(cx, choice) < 0)
+            goto done;
+        if (choice == P_LSB && fast != Py_None) {
+            /* _take_lsb with an installed fast block */
+            if (ga_ll(fast, S__next, &wordline) < 0
+                    || sa_ll(fast, S__next, wordline + 1) < 0
+                    || (block = GA(fast, block)) == NULL
+                    || quota_add(cx, -1, 0) < 0)
+                goto done;
+            if (wordline + 1 >= wordlines) {
+                /* last LSB page: the block joins the SBQueue and its
+                 * parity page is persisted */
+                PyObject *wl = PyLong_FromLongLong(wordlines), *cursor;
+                if (wl == NULL)
+                    goto done;
+                cursor = PyObject_CallFunctionObjArgs(C_PhaseCursor, block, wl,
+                                                      P_MSB, NULL);
+                Py_DECREF(wl);
+                if (cursor == NULL)
+                    goto done;
+                res = call_method1(sbqueue, S_append, cursor);
+                Py_DECREF(cursor);
+                if (res == NULL)
+                    goto done;
+                Py_DECREF(res);
+                if (SA(manager, _fast, Py_None) < 0
+                        || enqueue_parity(cx, ftl, chip, block) < 0)
+                    goto done;
+            }
+            else if (cx->interval > 0 && (wordline + 1) % cx->interval == 0
+                     && enqueue_parity(cx, ftl, chip, block) < 0)
+                goto done;
+            if (NEED_FTL(cx, ftl) < 0
+                    || (addr = chip_page_address(cx, cid, block,
+                                                 2 * wordline)) == NULL
+                    || as_ll(block, &blk) < 0)
+                goto done;
+            Py_INCREF(P_LSB);
+            ptype = P_LSB;
+            ppn = cid * cx->f_ppc + blk * cx->f_ppb + 2 * wordline;
+        }
+        else if (choice == P_LSB) {
+            /* no fast block: _take_lsb installs one (or falls to MSB) */
+            if ((alloc = call_method2(ftl, S__take_lsb, chip, Py_False)) == NULL)
+                goto done;
+            if (alloc == Py_None) {
+                Py_DECREF(alloc);
+                if ((alloc = PyObject_CallMethod(ftl, "_take_msb", "O",
+                                                 chip)) == NULL)
+                    goto done;
+            }
+        }
+        else {
+            /* _take_msb (the choice implies a non-empty SBQueue) */
+            if ((c = flex_take_msb(cx, ftl, chip, cid, &addr)) < 0)
+                goto done;
+            if (c == 0) {
+                PyErr_SetString(PyExc_IndexError, "deque index out of range");
+                goto done;
+            }
+            Py_INCREF(P_MSB);
+            ptype = P_MSB;
+            if (addr_ppn(cx, addr, &ppn) < 0)
+                goto done;
+        }
+    }
+    if (addr == NULL) {
+        if (alloc == NULL || alloc == Py_None) {
+            out = flex_write_blocked(cx, ftl, state, chip, cid);
+            goto done;
+        }
+        if (unpack2(alloc, &addr, &ptype) < 0 || NEED_FTL(cx, ftl) < 0
+                || addr_ppn(cx, addr, &ppn) < 0)
+            goto done;
+    }
+    /* ---- WriteBuffer.pop ---- */
+    if ((v = GA(buffer, _stale)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (c) {
+        if ((entry = call_method0(buffer, S_pop)) == NULL)
+            goto done;
+    }
+    else {
+        PyObject *fifo = GA(buffer, _fifo), *resident, *elpn, *count;
+        long long n;
+        if (fifo == NULL)
+            goto done;
+        entry = call_method0(fifo, S_popleft);
+        Py_DECREF(fifo);
+        if (entry == NULL)
+            goto done;
+        if ((elpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL)
+            goto done;
+        if ((resident = GA(buffer, _resident)) == NULL) {
+            Py_DECREF(elpn);
+            goto done;
+        }
+        count = PyObject_GetItem(resident, elpn);
+        c = count == NULL ? -1 : as_ll(count, &n);
+        Py_XDECREF(count);
+        if (c == 0) {
+            if (n - 1) {
+                PyObject *nv = PyLong_FromLongLong(n - 1);
+                c = nv == NULL ? -1 : PyObject_SetItem(resident, elpn, nv);
+                Py_XDECREF(nv);
+            }
+            else
+                c = PyObject_DelItem(resident, elpn);
+        }
+        Py_DECREF(resident);
+        Py_DECREF(elpn);
+        if (c < 0 || attr_add(buffer, S__live, -1) < 0)
+            goto done;
+    }
+    if ((lpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL)
+        goto done;
+    /* ---- MappingTable.map_write and write-clock accounting ---- */
+    if (NEED_FTL(cx, ftl) < 0
+            || mapping_map_write(cx, cx->mapping, lpn, ppn) < 0
+            || note_block_write(cx, ftl, ppn / cx->f_ppb) < 0
+            || attr_add(ftl, S_host_programs, 1) < 0)
+        goto done;
+    if ((v = GA(ftl, _after_host_program)) == NULL)
+        goto done;
+    if (v != Py_None) {
+        res = PyObject_CallFunctionObjArgs(v, chip, addr, ptype, now, NULL);
+        ctx_flush(cx);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    out = new_op(K_PROGRAM, addr, S_host, lpn, Py_None);
+done:
+    Py_XDECREF(v);
+    Py_XDECREF(state);
+    Py_XDECREF(buffer);
+    Py_XDECREF(manager);
+    Py_XDECREF(fast);
+    Py_XDECREF(sbqueue);
+    Py_XDECREF(addr);
+    Py_XDECREF(ptype);
+    Py_XDECREF(alloc);
+    Py_XDECREF(block);
+    Py_XDECREF(entry);
+    Py_XDECREF(lpn);
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* kernel: the run loop                                               */
+
+/* controller_reason(ctrl), loading the controller group when the
+ * controller can run natively */
+static int
+ctx_reason(Ctx *cx, PyObject *ctrl)
+{
+    int reason;
+    if (cx->ctrl == ctrl)
+        return cx->reason;
+    if ((reason = controller_reason(ctrl)) == WHY_OK
+            && ctx_controller(cx, ctrl) < 0)
+        return -1;
+    return reason;
+}
+
+/* WHY_OK when no class method the core replaces was patched */
+static int
+ctx_stock(Ctx *cx)
+{
+    if (cx->stock < 0)
+        cx->stock = stock_classes();
+    return cx->stock ? WHY_OK : WHY_PATCHED;
+}
+
+/* Run one event's callback: natively when it is a stock core handler
+ * whose preconditions hold, as ``fn(*args)`` otherwise. */
+static int
+dispatch(Ctx *cx, PyObject *fn, PyObject *args)
+{
+    PyObject *res;
+    if (PyMethod_Check(fn)) {
+        PyObject *func = PyMethod_GET_FUNCTION(fn);
+        PyObject *self = PyMethod_GET_SELF(fn);
+        int reason = -2;
+        if (func == F_on_op_done) {
+            if ((reason = ctx_reason(cx, self)) == WHY_OK)
+                reason = ctx_stock(cx);
+            if (reason < 0)
+                return -1;
+            if (reason == WHY_OK
+                    && !(PyTuple_CheckExact(args) && PyTuple_GET_SIZE(args) == 3))
+                reason = WHY_ARGS;
+            if (reason == WHY_OK) {
+                cov_native++;
+                return controller_on_op_done(cx, self,
+                                             PyTuple_GET_ITEM(args, 0),
+                                             PyTuple_GET_ITEM(args, 1),
+                                             PyTuple_GET_ITEM(args, 2));
+            }
+        }
+        else if (func == F_stream_issue || func == F_closed_issue) {
+            int streaming = func == F_stream_issue;
+            if (Py_TYPE(self) != (streaming ? T_StreamHost : T_ClosedHost))
+                reason = WHY_SUBCLASS;
+            else {
+                PyObject *ctrl = GA(self, controller);
+                if (ctrl == NULL)
+                    return -1;
+                reason = ctx_reason(cx, ctrl);
+                Py_DECREF(ctrl);
+                if (reason < 0)
+                    return -1;
+                if (reason == WHY_OK && streaming && cx->traced)
+                    reason = WHY_TRACE;
+                if (reason == WHY_OK)
+                    reason = ctx_stock(cx);
+            }
+            if (reason == WHY_OK
+                    && !(PyTuple_CheckExact(args) && PyTuple_GET_SIZE(args) == 1))
+                reason = WHY_ARGS;
+            if (reason == WHY_OK) {
+                cov_native++;
+                return host_issue(cx, self, PyTuple_GET_ITEM(args, 0),
+                                  streaming);
+            }
+        }
+        cov_python[reason == -2 ? WHY_HANDLER : reason]++;
+    }
+    else
+        cov_python[WHY_HANDLER]++;
+    if (PyTuple_Check(args))
+        res = PyObject_Call(fn, args, NULL);
+    else {
+        PyObject *tuple = PySequence_Tuple(args);
+        if (tuple == NULL)
+            return -1;
+        res = PyObject_Call(fn, tuple, NULL);
+        Py_DECREF(tuple);
+    }
+    /* a Python handler may have rebound anything (a power cut) */
+    ctx_flush(cx);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* ``counter[0] -= 1; entry[_COUNTER] = None`` for a collected
+ * cancelled entry */
+static int
+uncount_cancelled(PyObject *entry)
+{
+    PyObject *counter = PyList_GET_ITEM(entry, 6), *v, *nv;
+    int r;
+    Py_INCREF(counter);
+    v = PySequence_GetItem(counter, 0);
+    if (v == NULL) {
+        Py_DECREF(counter);
+        return -1;
+    }
+    nv = PyNumber_Subtract(v, ONE);
+    Py_DECREF(v);
+    if (nv == NULL) {
+        Py_DECREF(counter);
+        return -1;
+    }
+    r = PySequence_SetItem(counter, 0, nv);
+    Py_DECREF(nv);
+    Py_DECREF(counter);
+    if (r < 0)
+        return -1;
+    Py_INCREF(Py_None);
+    return PyList_SetItem(entry, 6, Py_None);
+}
+
+static int bind(void);
+
+/* Simulator.run(until, max_events): every form of the call.  Mirrors
+ * the general loop (``_ensure_head`` per event); the run-to-exhaustion
+ * fast path of the Python method pops in the same order. */
+static PyObject *
+core_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *sim, *until, *max_events, *active = NULL, *entry, *v, *nv;
+    long long remaining = -1, pos;
+    int c;
+    Ctx cx;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "run(sim, until, max_events) takes 3 arguments");
+        return NULL;
+    }
+    sim = args[0];
+    until = args[1];
+    max_events = args[2];
+    if (!bound && bind() < 0)
+        return NULL;
+    if (max_events != Py_None) {
+        /* ``remaining == 0`` stops the loop: only a non-negative whole
+         * number ever gets there; anything else runs to exhaustion */
+        if (PyLong_Check(max_events)) {
+            int overflow;
+            remaining = PyLong_AsLongLongAndOverflow(max_events, &overflow);
+            if (remaining == -1 && PyErr_Occurred())
+                return NULL;
+            if (overflow || remaining < 0)
+                remaining = -1;
+        }
+        else if (PyFloat_Check(max_events)) {
+            double d = PyFloat_AS_DOUBLE(max_events);
+            remaining = (d >= 0.0 && d == floor(d) && d < 9.0e18)
+                ? (long long)d : -1;
+        }
+        else {
+            PyErr_Format(PyExc_TypeError,
+                         "max_events must be a number, got %.100s",
+                         Py_TYPE(max_events)->tp_name);
+            return NULL;
+        }
+    }
+    memset(&cx, 0, sizeof cx);
+    cx.run_sim = sim;
+    cx.stock = -1;
+    if ((active = GA(sim, _active)) == NULL
+            || ga_ll(sim, S__active_pos, &pos) < 0)
+        goto error;
+    for (;;) {
+        /* _ensure_head: skip (and collect) cancelled entries */
+        for (;;) {
+            if (!PyList_Check(active)) {
+                PyErr_SetString(PyExc_TypeError,
+                                "native core: active bucket is not a list");
+                goto error;
+            }
+            if (pos < PyList_GET_SIZE(active)) {
+                entry = PyList_GET_ITEM(active, (Py_ssize_t)pos);
+                if (!PyList_Check(entry) || PyList_GET_SIZE(entry) < 7) {
+                    PyErr_SetString(PyExc_TypeError,
+                                    "native core: malformed queue entry");
+                    goto error;
+                }
+                if ((c = truthy(PyList_GET_ITEM(entry, 5))) < 0)
+                    goto error;
+                if (c) {
+                    if (uncount_cancelled(entry) < 0)
+                        goto error;
+                    pos++;
+                    continue;
+                }
+                break;
+            }
+            if (sa_ll(sim, S__active_pos, pos) < 0)
+                goto error;
+            if ((c = kernel_advance_day(sim)) < 0)
+                goto error;
+            if (!c)
+                goto finished;
+            Py_SETREF(active, GA(sim, _active));
+            if (active == NULL || ga_ll(sim, S__active_pos, &pos) < 0)
+                goto error;
+        }
+        if (remaining == 0) {
+            if (sa_ll(sim, S__active_pos, pos) < 0)
+                goto error;
+            goto finished;
+        }
+        if (until != Py_None) {
+            PyObject *time = PyList_GET_ITEM(entry, 0);
+            if (PyFloat_CheckExact(time) && PyFloat_CheckExact(until))
+                c = PyFloat_AS_DOUBLE(time) > PyFloat_AS_DOUBLE(until);
+            else if ((c = PyObject_RichCompareBool(time, until, Py_GT)) < 0)
+                goto error;
+            if (c) {
+                if (sa_ll(sim, S__active_pos, pos) < 0
+                        || SA(sim, now, until) < 0)
+                    goto error;
+                goto finished;
+            }
+        }
+        Py_INCREF(entry);
+        /* self._active_pos = pos + 1; entry[_COUNTER] = None;
+         * self.now = time; self.processed += 1 */
+        c = sa_ll(sim, S__active_pos, pos + 1);
+        if (c == 0) {
+            Py_INCREF(Py_None);
+            c = PyList_SetItem(entry, 6, Py_None);
+        }
+        if (c == 0)
+            c = SA(sim, now, PyList_GET_ITEM(entry, 0));
+        if (c == 0) {
+            c = -1;
+            if ((v = GA(sim, processed)) != NULL) {
+                nv = PyNumber_Add(v, ONE);
+                Py_DECREF(v);
+                if (nv != NULL) {
+                    c = SA(sim, processed, nv);
+                    Py_DECREF(nv);
+                }
+            }
+        }
+        if (c == 0) {
+            PyObject *fn = PyList_GET_ITEM(entry, 3);
+            PyObject *fargs = PyList_GET_ITEM(entry, 4);
+            Py_INCREF(fn);
+            Py_INCREF(fargs);
+            cx.now = PyList_GET_ITEM(entry, 0);
+            c = dispatch(&cx, fn, fargs);
+            cx.now = NULL;
+            Py_DECREF(fn);
+            Py_DECREF(fargs);
+        }
+        Py_DECREF(entry);
+        if (c < 0)
+            goto error;
+        if (remaining > 0)
+            remaining--;
+        /* the callback may have rebound the active bucket (halt) */
+        Py_SETREF(active, GA(sim, _active));
+        if (active == NULL || ga_ll(sim, S__active_pos, &pos) < 0)
+            goto error;
+    }
+finished:
+    ctx_flush(&cx);
+    Py_XDECREF(active);
+    Py_RETURN_NONE;
+error:
+    ctx_flush(&cx);
+    Py_XDECREF(active);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* coverage                                                           */
+
+static PyObject *
+core_coverage(PyObject *module, PyObject *unused)
+{
+    PyObject *python = PyDict_New(), *v;
+    int i;
+    if (python == NULL)
+        return NULL;
+    for (i = 1; i < N_REASONS; i++) {
+        v = PyLong_FromUnsignedLongLong(cov_python[i]);
+        if (v == NULL || PyDict_SetItemString(python, REASON_NAMES[i], v) < 0) {
+            Py_XDECREF(v);
+            Py_DECREF(python);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    return Py_BuildValue("{s:K,s:N}", "native", cov_native,
+                         "python", python);
+}
+
+static PyObject *
+core_reset_coverage(PyObject *module, PyObject *unused)
+{
+    int i;
+    cov_native = 0;
+    for (i = 0; i < N_REASONS; i++)
+        cov_python[i] = 0;
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* binding                                                            */
+
+static PyObject *
+ref(PyObject *refs, const char *key)
+{
+    PyObject *v = PyDict_GetItemString(refs, key);
+    if (v == NULL) {
+        PyErr_Format(PyExc_RuntimeError, "native core: missing reference %s",
+                     key);
+        return NULL;
+    }
+    Py_INCREF(v);
+    return v;
+}
+
+static PyTypeObject *
+type_ref(PyObject *refs, const char *key)
+{
+    PyObject *v = ref(refs, key);
+    if (v != NULL && !PyType_Check(v)) {
+        Py_DECREF(v);
+        PyErr_Format(PyExc_TypeError, "native core: %s is not a class", key);
+        return NULL;
+    }
+    return (PyTypeObject *)v;
+}
+
+static int
+member_offset(PyTypeObject *type, const char *name, Py_ssize_t *off)
+{
+    PyObject *d = PyDict_GetItemString(type->tp_dict, name);
+    PyMemberDef *m;
+    if (d == NULL || !PyObject_TypeCheck(d, &PyMemberDescr_Type)) {
+        PyErr_Format(PyExc_TypeError, "native core: %s.%s is not a slot",
+                     type->tp_name, name);
+        return -1;
+    }
+    m = ((PyMemberDescrObject *)d)->d_member;
+    if (m->type != T_OBJECT_EX || (m->flags & READONLY)) {
+        PyErr_Format(PyExc_TypeError,
+                     "native core: %s.%s is not a writable object slot",
+                     type->tp_name, name);
+        return -1;
+    }
+    *off = m->offset;
+    return 0;
+}
+
+static int
+bind(void)
+{
+    PyObject *module, *refs;
+    int r = -1;
+
+    if ((module = PyImport_ImportModule("repro.sim._native")) == NULL)
+        return -1;
+    refs = PyObject_CallMethodNoArgs(module, S__stock_refs);
+    Py_DECREF(module);
+    if (refs == NULL)
+        return -1;
+    if (!PyDict_Check(refs)) {
+        PyErr_SetString(PyExc_TypeError, "native core: references not a dict");
+        goto done;
+    }
+    if ((T_Simulator = type_ref(refs, "Simulator")) == NULL
+            || (T_Controller = type_ref(refs, "StorageController")) == NULL
+            || (T_FlexFtl = type_ref(refs, "FlexFtl")) == NULL
+            || (T_Mapping = type_ref(refs, "MappingTable")) == NULL
+            || (T_WriteBuffer = type_ref(refs, "WriteBuffer")) == NULL
+            || (T_Geometry = type_ref(refs, "NandGeometry")) == NULL
+            || (T_FlashOp = type_ref(refs, "FlashOp")) == NULL
+            || (T_BufferedWrite = type_ref(refs, "BufferedWrite")) == NULL
+            || (T_Request = type_ref(refs, "Request")) == NULL
+            || (T_PPA = type_ref(refs, "PhysicalPageAddress")) == NULL
+            || (T_StreamHost = type_ref(refs, "StreamingClosedLoopHost")) == NULL
+            || (T_ClosedHost = type_ref(refs, "ClosedLoopHost")) == NULL
+            || (F_push = ref(refs, "push")) == NULL
+            || (F_on_op_done = ref(refs, "on_op_done")) == NULL
+            || (F_execute = ref(refs, "execute")) == NULL
+            || (F_flex_next_op = ref(refs, "flex_next_op")) == NULL
+            || (F_lookup = ref(refs, "lookup")) == NULL
+            || (F_stream_issue = ref(refs, "stream_issue")) == NULL
+            || (F_closed_issue = ref(refs, "closed_issue")) == NULL
+            || (K_PROGRAM = ref(refs, "PROGRAM")) == NULL
+            || (K_READ = ref(refs, "READ")) == NULL
+            || (R_READ = ref(refs, "REQUEST_READ")) == NULL
+            || (P_LSB = ref(refs, "LSB")) == NULL
+            || (P_MSB = ref(refs, "MSB")) == NULL
+            || (C_PhaseCursor = ref(refs, "PhaseCursor")) == NULL
+            || (C_StreamCompletion = ref(refs, "StreamCompletion")) == NULL
+            || (heappush_fn = ref(refs, "heappush")) == NULL
+            || (heappop_fn = ref(refs, "heappop")) == NULL
+            || (STOCK = ref(refs, "stock")) == NULL)
+        goto done;
+    if (!PyTuple_CheckExact(STOCK)) {
+        PyErr_SetString(PyExc_TypeError, "native core: stock is not a tuple");
+        goto done;
+    }
+    if (member_offset(T_FlashOp, "kind", &OP_kind) < 0
+            || member_offset(T_FlashOp, "addr", &OP_addr) < 0
+            || member_offset(T_FlashOp, "tag", &OP_tag) < 0
+            || member_offset(T_FlashOp, "lpn", &OP_lpn) < 0
+            || member_offset(T_FlashOp, "on_complete", &OP_on_complete) < 0
+            || member_offset(T_FlashOp, "data", &OP_data) < 0
+            || member_offset(T_FlashOp, "source", &OP_source) < 0
+            || member_offset(T_Request, "time", &RQ_time) < 0
+            || member_offset(T_Request, "kind", &RQ_kind) < 0
+            || member_offset(T_Request, "lpn", &RQ_lpn) < 0
+            || member_offset(T_Request, "npages", &RQ_npages) < 0
+            || member_offset(T_Request, "pages_remaining",
+                             &RQ_pages_remaining) < 0
+            || member_offset(T_Request, "submitted_at", &RQ_submitted_at) < 0
+            || member_offset(T_Request, "on_complete", &RQ_on_complete) < 0
+            || member_offset(T_BufferedWrite, "lpn", &BW_lpn) < 0
+            || member_offset(T_BufferedWrite, "enqueued_at",
+                             &BW_enqueued_at) < 0
+            || member_offset(T_BufferedWrite, "request", &BW_request) < 0)
+        goto done;
+    bound = 1;
+    r = 0;
+done:
+    Py_DECREF(refs);
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
+/* module                                                             */
+
+static PyMethodDef core_methods[] = {
+    {"run", (PyCFunction)(void (*)(void))core_run, METH_FASTCALL,
+     "run(sim, until, max_events): Simulator.run natively."},
+    {"coverage", core_coverage, METH_NOARGS,
+     "Events handled natively, and events passed to Python by reason."},
+    {"reset_coverage", core_reset_coverage, METH_NOARGS,
+     "Zero the coverage counters."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef core_module = {
+    PyModuleDef_HEAD_INIT, "_core",
+    "Native dispatch core of the simulator (see _core.c).", -1, core_methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__core(void)
+{
+    PyObject *module;
+#define INTERN_NAME(n)                                                  \
+    if ((S_##n = PyUnicode_InternFromString(#n)) == NULL)               \
+        return NULL;
+    NAMES(INTERN_NAME)
+#undef INTERN_NAME
+    if ((ZERO = PyLong_FromLong(0)) == NULL
+            || (ONE = PyLong_FromLong(1)) == NULL
+            || (KW_TENANT = PyTuple_Pack(1, S_tenant)) == NULL)
+        return NULL;
+    module = PyModule_Create(&core_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddStringConstant(module, "BUILD", REPRO_CORE_BUILD) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
+}

@@ -41,6 +41,8 @@ from heapq import heappop, heappush
 from math import isinf
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.sim import _native
+
 # Heap-entry slot indices.
 _TIME, _PRIORITY, _SEQ, _FN, _ARGS, _CANCELLED, _COUNTER = range(7)
 
@@ -378,7 +380,15 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue empties, ``until`` is reached, or
-        ``max_events`` have been processed (a runaway-loop backstop)."""
+        ``max_events`` have been processed (a runaway-loop backstop).
+
+        Runs in the native core (:mod:`repro.sim._native`) when it is
+        loaded; the loop below is the pure-Python reference.
+        """
+        core = _native.core
+        if core is not None and type(self) is Simulator:
+            core.run(self, until, max_events)
+            return
         if until is None and max_events is None:
             # Run-to-exhaustion fast path: no bound checks per event.
             # Semantically the general loop below with both guards

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import registry
 
 
 class TestParser:
@@ -27,6 +28,17 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert callable(args.fn)
+
+
+@pytest.mark.parametrize(
+    "command", [experiment.name for experiment in registry.all_experiments()])
+def test_every_subcommand_prints_help(command, capsys):
+    """``--help`` renders for every registered subcommand (a stray
+    ``%`` in a help string used to crash argparse here)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert f"usage: repro {command}" in capsys.readouterr().out
 
 
 class TestCommands:

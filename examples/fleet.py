@@ -12,7 +12,7 @@ backbone end to end:
 The resumed report's fleet fingerprint — a SHA-256 over every device's
 measured trace surface — is asserted equal to the oracle's: the kill
 changed nothing, byte for byte.  Also peeks inside a snapshot header
-and shows the kernel-mismatch refusal.
+and shows that a snapshot refuses to resume into a different fleet.
 
 Usage::
 
@@ -26,7 +26,6 @@ from repro.fleet import (
     DeviceRun,
     FleetSpec,
     SnapshotMismatchError,
-    fleet_config,
     run_fleet,
 )
 
@@ -51,8 +50,8 @@ def main() -> None:
         print(f"   {len(snaps)} snapshot files in {ckpt.name}/")
 
         header = DeviceRun.peek(snaps[0])
-        print(f"   {snaps[0].name}: kernel={header['kernel']} "
-              f"stepping={header['stepping']} "
+        print(f"   {snaps[0].name}: "
+              f"format={header['format_version']} "
               f"events={header['events']} "
               f"sha256={header['payload_sha256'][:12]}…")
         print()
@@ -69,18 +68,19 @@ def main() -> None:
         assert same, "kill/resume diverged from the oracle"
 
         print()
-        print("== 4. a heap-kernel config refuses a calendar snapshot")
+        print("== 4. another fleet refuses this fleet's snapshot")
         stopped2 = run_fleet(fleet, jobs=1, checkpoint_dir=str(ckpt),
                              stop_after_events=500)
         assert stopped2.checkpoints > 0
         snap = sorted(ckpt.glob("*.snap"))[0]
+        other = FleetSpec(devices=16, tenants=2, ops_per_device=200,
+                          seed=8)
         try:
-            DeviceRun.load(snap,
-                           expect_config=fleet_config(kernel="heap"))
+            DeviceRun.load(snap, expect_fleet_hash=other.content_hash())
         except SnapshotMismatchError as error:
             print(f"   refused as expected: {error}")
         else:
-            raise AssertionError("mismatched kernel resume not caught")
+            raise AssertionError("foreign-fleet resume not caught")
 
 
 if __name__ == "__main__":

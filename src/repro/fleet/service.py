@@ -57,12 +57,10 @@ FLEET_GEOMETRY = NandGeometry(
 )
 
 
-def fleet_config(kernel: str = "calendar",
-                 stepping: str = "auto") -> ExperimentConfig:
+def fleet_config() -> ExperimentConfig:
     """The default per-device configuration for fleet serving."""
     return ExperimentConfig(geometry=FLEET_GEOMETRY,
-                            track_history=False,
-                            kernel=kernel, stepping=stepping)
+                            track_history=False)
 
 
 @dataclasses.dataclass(frozen=True)

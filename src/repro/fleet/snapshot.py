@@ -18,12 +18,9 @@ File layout (all integers big-endian)::
     rest      pickle payload
 
 The header is readable without unpickling anything: it names the
-snapshot format version, the package version that wrote the file, the
-simulation kernel (``calendar``/``heap``) and stepping mode, and a
-SHA-256 over the payload so truncation or corruption is detected
-before the unpickler ever runs.  Resuming under a mismatched kernel is
-refused with a clear error — pending-event layouts differ between
-kernels, so a silent cross-load could never be byte-faithful.
+snapshot format version, the package version that wrote the file and a
+SHA-256 over the payload, so truncation, corruption or a format from
+another release is detected before the unpickler ever runs.
 
 Snapshot files are pickles: load them only from paths you (or your
 own checkpointing run) wrote, never from untrusted sources.
@@ -47,8 +44,11 @@ from repro import __version__
 SNAPSHOT_MAGIC = b"RPROSNAP"
 
 #: Bump when the header schema or payload contract changes; a reader
-#: refuses files written under a different format version.
-SNAPSHOT_FORMAT_VERSION = 1
+#: refuses files written under a different format version.  Format 2
+#: dropped the kernel and dispatch-mode header fields; format 1
+#: payloads pickle controller and NAND attributes of the removed
+#: batched dispatch path, so they cannot be resumed.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _LEN = struct.Struct(">I")
 
@@ -63,7 +63,7 @@ class SnapshotFormatError(SnapshotError):
 
 class SnapshotMismatchError(SnapshotError):
     """The snapshot is valid but incompatible with the resume context
-    (e.g. it was written under a different simulation kernel)."""
+    (e.g. it was written for a different fleet spec)."""
 
 
 #: Chaos/test hook: called with the fully written + fsynced temp path
@@ -91,19 +91,15 @@ def write_snapshot(path: "Path | str", payload: Any,
                    header: Dict[str, Any]) -> Dict[str, Any]:
     """Write ``payload`` (pickled) under a versioned header.
 
-    ``header`` must carry at least ``kernel`` and ``stepping``; the
-    format version, package version, payload digest and payload length
-    are filled in here.  The write is crash-safe, not merely atomic:
-    the temp file is fsynced before the rename and the containing
-    directory is fsynced on either side of it, so a *host* crash (not
-    just a process kill) can never leave a zero-length or torn
-    ``.snap`` where a good one stood — the old snapshot survives until
-    the new one is durable.  Returns the full header as written.
+    The format version, package version, payload digest and payload
+    length are added to ``header`` here.  The write is crash-safe, not
+    merely atomic: the temp file is fsynced before the rename and the
+    containing directory is fsynced on either side of it, so a *host*
+    crash (not just a process kill) can never leave a zero-length or
+    torn ``.snap`` where a good one stood — the old snapshot survives
+    until the new one is durable.  Returns the full header as written.
     """
     path = Path(path)
-    for field in ("kernel", "stepping"):
-        if field not in header:
-            raise ValueError(f"snapshot header needs {field!r}")
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     full = dict(header)
     full["format_version"] = SNAPSHOT_FORMAT_VERSION
@@ -152,7 +148,9 @@ def _read_header(handle: io.BufferedReader,
     if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotFormatError(
             f"{path} uses snapshot format {version!r}; this build "
-            f"reads format {SNAPSHOT_FORMAT_VERSION}")
+            f"reads format {SNAPSHOT_FORMAT_VERSION} only.  Restart "
+            f"the run from scratch (runs are deterministic, so the "
+            f"result is the same).")
     return header
 
 
@@ -163,20 +161,8 @@ def read_snapshot_header(path: "Path | str") -> Dict[str, Any]:
         return _read_header(handle, path)
 
 
-def read_snapshot(
-    path: "Path | str",
-    expect_kernel: Optional[str] = None,
-    expect_stepping: Optional[str] = None,
-) -> Tuple[Dict[str, Any], Any]:
-    """Load ``(header, payload)``, verifying integrity and context.
-
-    Args:
-        path: snapshot file.
-        expect_kernel: when given, the resume context's kernel; a
-            mismatch raises :class:`SnapshotMismatchError` instead of
-            resuming a calendar-queue event set onto a heap (or vice
-            versa).
-        expect_stepping: same, for the chip-stepping mode.
+def read_snapshot(path: "Path | str") -> Tuple[Dict[str, Any], Any]:
+    """Load ``(header, payload)``, verifying format and integrity.
 
     A package-version skew (file written by a different release) is
     not fatal — pickles usually survive small releases — but it is
@@ -197,22 +183,6 @@ def read_snapshot(
         raise SnapshotFormatError(
             f"{path} failed its integrity check (payload digest "
             f"mismatch); the file is corrupt")
-    if expect_kernel is not None \
-            and header.get("kernel") != expect_kernel:
-        raise SnapshotMismatchError(
-            f"{path} was checkpointed under the "
-            f"{header.get('kernel')!r} kernel but this run resumes "
-            f"under {expect_kernel!r}; pending-event layouts differ "
-            f"between kernels, so resume is refused.  Re-run with "
-            f"kernel={header.get('kernel')!r} (or restart from "
-            f"scratch under the new kernel).")
-    if expect_stepping is not None \
-            and header.get("stepping") != expect_stepping:
-        raise SnapshotMismatchError(
-            f"{path} was checkpointed with stepping="
-            f"{header.get('stepping')!r} but this run resumes with "
-            f"stepping={expect_stepping!r}; refuse rather than risk "
-            f"divergence.  Re-run with the snapshot's stepping mode.")
     written_by = header.get("package_version")
     if written_by != __version__:
         warnings.warn(

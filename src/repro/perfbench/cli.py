@@ -74,13 +74,13 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
              "--overhead-budget is given)")
     parser.add_argument(
         "--scale-sweep", action="store_true",
-        help="benchmark one workload at 1x/4x/16x chip counts, new "
-             "config vs the heap/event oracle on identical streams "
-             "(event counts cross-checked; see docs/PERFORMANCE.md)")
+        help="benchmark one workload at 1x/4x/16x chip counts on "
+             "identical streams (event counts cross-checked between "
+             "rounds; see docs/PERFORMANCE.md)")
     parser.add_argument(
         "--rounds", type=int, default=None,
-        help="measurement rounds per arm (default 5 for "
-             "--trace-overhead, 3 for --scale-sweep)")
+        help="measurement rounds (per arm for the overhead guards; "
+             "default 5 for --trace-overhead, 3 for --scale-sweep)")
     parser.add_argument(
         "--sweep-multipliers", default="1,4,16", metavar="M,M,...",
         help="comma-separated chip-count multipliers for "
@@ -94,14 +94,6 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
              f"exactly this value (default "
              f"{TRACE_OVERHEAD_BUDGET_PCT:g} for tracing, "
              f"{PHYSICS_OVERHEAD_BUDGET_PCT:g} for physics)")
-    parser.add_argument(
-        "--kernel", choices=("calendar", "heap"), default="calendar",
-        help="event-queue implementation to benchmark "
-             "(default calendar; heap is the frozen oracle)")
-    parser.add_argument(
-        "--stepping", choices=("auto", "event", "batch", "vector"),
-        default="auto",
-        help="chip-dispatch stepping mode (default auto)")
 
 
 def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
@@ -161,8 +153,6 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
                 seed=args.seed,
                 rounds=args.rounds if args.rounds is not None else 3,
                 multipliers=multipliers,
-                kernel=args.kernel,
-                stepping=args.stepping,
                 output_path=args.output,
             )
         except (KeyError, ValueError) as error:
@@ -176,8 +166,6 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
             floor=args.floor,
             profile_path=args.profile,
             output_path=args.output,
-            kernel=args.kernel,
-            stepping=args.stepping,
         )
     except (KeyError, ValueError) as error:
         raise registry.CliError(str(error.args[0])) from error

@@ -220,8 +220,6 @@ class PerfbenchResult:
     track_history: bool
     floor: Optional[float] = None
     profile_path: Optional[str] = None
-    kernel: str = "calendar"
-    stepping: str = "auto"
 
     # -- summary -------------------------------------------------------
 
@@ -247,8 +245,6 @@ class PerfbenchResult:
             "scale": self.scale,
             "span": self.span,
             "track_history": self.track_history,
-            "kernel": self.kernel,
-            "stepping": self.stepping,
             "python": platform.python_version(),
             "core": _native.describe(),
             "workloads": {name: t.to_dict()
@@ -818,12 +814,9 @@ def run_physics_overhead(
 class SweepPoint:
     """One geometry of a ``--scale-sweep`` run.
 
-    ``new`` holds events/sec of the configuration under test (the
-    default calendar kernel), ``baseline`` of the heap-kernel
-    event-stepping oracle on the *same* streams; the two arms run
-    interleaved with alternating order so wall-clock drift cancels.
-    ``events`` is asserted identical across every run of both arms —
-    the sweep doubles as an end-to-end equivalence check.
+    ``rates`` holds the events/sec of every round on the *same*
+    streams.  ``events`` is asserted identical across rounds, so a
+    nondeterministic run fails the sweep instead of reporting a rate.
     """
 
     multiplier: int
@@ -832,18 +825,14 @@ class SweepPoint:
     total_chips: int
     span: int
     events: int
-    new: List[float]
-    baseline: List[float]
+    rates: List[float]
 
-    def best_new(self) -> float:
-        return max(self.new)
+    def best(self) -> float:
+        """Best-of rate (noise on a shared host is strictly additive)."""
+        return max(self.rates)
 
-    def best_baseline(self) -> float:
-        return max(self.baseline)
-
-    def speedup(self) -> float:
-        """Best-of new rate over best-of baseline rate."""
-        return self.best_new() / self.best_baseline()
+    def median(self) -> float:
+        return statistics.median(self.rates)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -853,13 +842,8 @@ class SweepPoint:
             "total_chips": self.total_chips,
             "span": self.span,
             "events": self.events,
-            "events_per_sec": {"new": list(self.new),
-                               "baseline": list(self.baseline)},
-            "summary": {
-                "best_new": self.best_new(),
-                "best_baseline": self.best_baseline(),
-                "speedup": self.speedup(),
-            },
+            "events_per_sec": list(self.rates),
+            "summary": {"best": self.best(), "median": self.median()},
         }
 
 
@@ -871,8 +855,6 @@ class ScaleSweepResult:
     scale: float
     seed: int
     rounds: int
-    kernel: str
-    stepping: str
     points: List[SweepPoint]
     #: free-form context block recorded verbatim in the JSON (e.g. the
     #: prior bench file this sweep is compared against).
@@ -880,29 +862,25 @@ class ScaleSweepResult:
 
     def passed(self) -> bool:
         """The sweep has no floor; it fails only on construction (an
-        event-count mismatch between arms raises)."""
+        event-count mismatch between rounds raises)."""
         return True
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON projection (the ``BENCH_PR7.json`` schema)."""
+        """JSON projection."""
         payload: Dict[str, object] = {
             "ftl": BENCH_FTL,
             "workload": self.workload,
             "scale": self.scale,
             "seed": self.seed,
             "rounds": self.rounds,
-            "kernel": self.kernel,
-            "stepping": self.stepping,
             "python": platform.python_version(),
             "core": _native.describe(),
             "methodology": (
-                "per geometry multiplier, paired runs of the "
-                "configuration under test and the heap-kernel "
-                "event-stepping oracle on identical streams, order "
-                "alternating per round, GC quiesced, warm-up fill "
-                "inside the timed region; best-of rates compared "
-                "(noise is strictly additive); event counts asserted "
-                "identical across arms"),
+                "per geometry multiplier, repeated runs of the shipped "
+                "system on identical streams, GC quiesced, warm-up "
+                "fill inside the timed region; best-of and median "
+                "rates reported; event counts asserted identical "
+                "across rounds"),
             "points": [p.to_dict() for p in self.points],
         }
         if self.reference is not None:
@@ -912,16 +890,14 @@ class ScaleSweepResult:
     def render(self) -> str:
         rows = [
             f"scale sweep: {self.workload} (scale {self.scale:g}, "
-            f"{self.rounds} rounds/arm, kernel={self.kernel}, "
-            f"stepping={self.stepping} vs heap/event baseline)",
+            f"{self.rounds} rounds, core {_native.describe()})",
             f"{'mult':>5s} {'chips':>6s} {'events':>9s} "
-            f"{'new ev/s':>10s} {'base ev/s':>10s} {'speedup':>8s}",
+            f"{'best ev/s':>10s} {'median ev/s':>12s}",
         ]
         for p in self.points:
             rows.append(
                 f"{p.multiplier:>4d}x {p.total_chips:>6d} "
-                f"{p.events:>9d} {p.best_new():>10.0f} "
-                f"{p.best_baseline():>10.0f} {p.speedup():>8.3f}")
+                f"{p.events:>9d} {p.best():>10.0f} {p.median():>12.0f}")
         return "\n".join(rows)
 
 
@@ -931,8 +907,6 @@ def run_scale_sweep(
     seed: int = 1,
     rounds: int = 3,
     multipliers: Sequence[int] = SWEEP_MULTIPLIERS,
-    kernel: str = "calendar",
-    stepping: str = "auto",
     reference: Optional[Dict[str, object]] = None,
     output_path: Optional[str] = None,
 ) -> ScaleSweepResult:
@@ -940,11 +914,11 @@ def run_scale_sweep(
 
     For each multiplier the device grows to ``m`` times the chips
     (:func:`sweep_geometry`) and the same generated streams are timed
-    under both the configuration under test (``kernel``/``stepping``)
-    and the frozen heap-kernel event-stepping oracle, interleaved.
-    Every run's event count must match across arms — a mismatch means
-    the kernels diverged and raises ``RuntimeError`` rather than
-    reporting a meaningless speedup.
+    ``rounds`` times.  Every round's event count must match — a
+    mismatch means the simulation is not deterministic and raises
+    ``RuntimeError`` rather than reporting a meaningless rate.  The
+    calendar-vs-heap kernel equivalence at these geometries is pinned
+    by ``tests/test_perf_equivalence.py``.
     """
     if workload not in WORKLOADS:
         raise KeyError(f"unknown workload {workload!r}; the scale "
@@ -956,31 +930,21 @@ def run_scale_sweep(
     points: List[SweepPoint] = []
     for multiplier in multipliers:
         geometry = sweep_geometry(multiplier)
-        new_config = ExperimentConfig(geometry=geometry,
-                                      track_history=False,
-                                      kernel=kernel, stepping=stepping)
-        base_config = ExperimentConfig(geometry=geometry,
-                                       track_history=False,
-                                       kernel="heap", stepping="event")
-        _, _, _, probe, _ = build_system(BENCH_FTL, new_config)
+        config = ExperimentConfig(geometry=geometry, track_history=False)
+        _, _, _, probe, _ = build_system(BENCH_FTL, config)
         span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
         streams = WORKLOADS[workload](span, scale, seed)
-        new_rates: List[float] = []
-        base_rates: List[float] = []
+        rates: List[float] = []
         events: Optional[int] = None
-        for index in range(rounds):
-            arms = ((new_config, new_rates), (base_config, base_rates))
-            if index % 2:
-                arms = arms[::-1]
-            for config, rates in arms:
-                timing = time_workload(workload, streams, config, span)
-                if events is None:
-                    events = timing.events
-                elif timing.events != events:
-                    raise RuntimeError(
-                        f"kernel divergence at {multiplier}x: "
-                        f"{timing.events} events != {events}")
-                rates.append(timing.events_per_sec)
+        for _ in range(rounds):
+            timing = time_workload(workload, streams, config, span)
+            if events is None:
+                events = timing.events
+            elif timing.events != events:
+                raise RuntimeError(
+                    f"nondeterministic run at {multiplier}x: "
+                    f"{timing.events} events != {events}")
+            rates.append(timing.events_per_sec)
         points.append(SweepPoint(
             multiplier=multiplier,
             channels=geometry.channels,
@@ -988,16 +952,13 @@ def run_scale_sweep(
             total_chips=geometry.total_chips,
             span=span,
             events=events if events is not None else 0,
-            new=new_rates,
-            baseline=base_rates,
+            rates=rates,
         ))
     result = ScaleSweepResult(
         workload=workload,
         scale=scale,
         seed=seed,
         rounds=rounds,
-        kernel=kernel,
-        stepping=stepping,
         points=points,
         reference=reference,
     )
@@ -1016,8 +977,6 @@ def run_perfbench(
     floor: Optional[float] = None,
     profile_path: Optional[str] = None,
     output_path: Optional[str] = None,
-    kernel: str = "calendar",
-    stepping: str = "auto",
 ) -> PerfbenchResult:
     """Run the throughput benchmark.
 
@@ -1039,10 +998,6 @@ def run_perfbench(
             hotspot hunting, not for rates).
         output_path: when given, the JSON projection is written here
             (this is how ``BENCH_PR2.json`` is produced).
-        kernel: event-queue implementation to benchmark ("calendar"
-            or the oracle "heap").
-        stepping: chip-dispatch stepping mode (see
-            :class:`~repro.experiments.runner.ExperimentConfig`).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -1055,8 +1010,7 @@ def run_perfbench(
             raise KeyError(
                 f"unknown workload {name!r}; choose from {known}"
             )
-    config = ExperimentConfig(track_history=track_history,
-                              kernel=kernel, stepping=stepping)
+    config = ExperimentConfig(track_history=track_history)
     _, _, _, probe, _ = build_system(BENCH_FTL, config)
     span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
 
@@ -1092,8 +1046,6 @@ def run_perfbench(
         track_history=track_history,
         floor=floor,
         profile_path=profile_path,
-        kernel=kernel,
-        stepping=stepping,
     )
     if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:

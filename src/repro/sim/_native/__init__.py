@@ -168,7 +168,7 @@ def coverage() -> Optional[Dict[str, Any]]:
     ``handler`` (no native implementation), ``patched`` (a class
     method the core replaces was patched), ``subclass``,
     ``injector``, ``physics``, ``execute`` (``_execute`` patched on
-    the instance: tracer, OpLog), ``batching``, ``trace``, ``args``.
+    the instance: tracer, OpLog), ``trace``, ``args``.
     """
     return core.coverage() if core is not None else None
 

@@ -48,7 +48,7 @@
     X(now) X(processed) X(_active) X(_active_pos) X(_active_key)        \
     X(_horizon_key) X(_buckets) X(_key_heap) X(_far) X(_inv_width)      \
     X(_span) X(_seq) X(_cancelled) X(_advance_day) X(sim) X(_injector)  \
-    X(_physics) X(_execute) X(_batching) X(_busy) X(_idle)              \
+    X(_physics) X(_execute) X(_busy) X(_idle)                           \
     X(in_flight) X(_pumping) X(_read_queues) X(_ftl_next_op)            \
     X(_admissions) X(write_buffer) X(capacity) X(_live)                 \
     X(_queued_reads) X(ftl) X(wants_background_gc) X(background_op)     \
@@ -118,7 +118,6 @@ enum {
     WHY_INJECTOR,     /* a fault injector is attached */
     WHY_PHYSICS,      /* the physics engine is attached */
     WHY_EXECUTE,      /* _execute is patched on the instance (tracer, OpLog) */
-    WHY_BATCHING,     /* batched stepping is on */
     WHY_TRACE,        /* a tracer is installed */
     WHY_ARGS,         /* the event arguments are not the usual tuple */
     N_REASONS
@@ -126,7 +125,7 @@ enum {
 
 static const char *REASON_NAMES[N_REASONS] = {
     "ok", "handler", "patched", "subclass", "injector", "physics",
-    "execute", "batching", "trace", "args",
+    "execute", "trace", "args",
 };
 
 static unsigned long long cov_native;
@@ -602,19 +601,6 @@ controller_reason(PyObject *ctrl)
     if (!(PyMethod_Check(v) && PyMethod_GET_FUNCTION(v) == F_execute
           && PyMethod_GET_SELF(v) == ctrl))
         reason = WHY_EXECUTE;
-    Py_DECREF(v);
-    if (reason != WHY_OK)
-        return reason;
-    if ((v = GA(ctrl, _batching)) == NULL)
-        return -1;
-    switch (truthy(v)) {
-    case -1:
-        reason = -1;
-        break;
-    case 1:
-        reason = WHY_BATCHING;
-        break;
-    }
     Py_DECREF(v);
     return reason;
 }
@@ -1736,8 +1722,7 @@ idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
     return c < 0 ? -1 : 0;
 }
 
-/* The pump body shared by StorageController._pump and the copy
- * open-coded in _on_op_done (batching is off: see controller_reason). */
+/* The body of StorageController._pump, inside its _pumping guard. */
 static int
 controller_pump_body(Ctx *cx, PyObject *ctrl)
 {

@@ -27,10 +27,12 @@ Two queue implementations share that entry format:
     identical to the heap.
 
 :class:`HeapSimulator`
-    The original binary-heap implementation, kept as the equivalence
-    oracle (``ExperimentConfig(kernel="heap")`` and the property suite
-    in ``tests/test_kernel_calendar_property.py`` drive both and assert
-    identical pop order).
+    The original binary-heap implementation, kept only as the
+    equivalence oracle: ``tests/test_kernel_calendar_property.py``
+    drives both kernels and asserts identical pop order, and the
+    full-system differentials swap it in through a test fixture
+    (``tests/helpers.py``).  The simulator itself always runs
+    :class:`Simulator`.
 """
 
 from __future__ import annotations
@@ -443,8 +445,8 @@ class HeapSimulator:
 
     The original kernel implementation, preserved verbatim as the
     equivalence oracle for :class:`Simulator` (same entry format, same
-    ``(time, priority, seq)`` pop order, same API).  Select it with
-    ``ExperimentConfig(kernel="heap")``.
+    ``(time, priority, seq)`` pop order, same API).  Only the tests
+    build it.
     """
 
     def __init__(self) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.nand.geometry import NandGeometry
+from tests.helpers import kernel  # noqa: F401  (shared fixture)
 
 
 @pytest.fixture

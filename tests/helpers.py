@@ -1,8 +1,13 @@
-"""Shared system builders and seeded generators for the test suite."""
+"""Shared system builders, seeded generators and fixtures for the
+test suite."""
 
+import contextlib
 import random
 
+import pytest
+
 from repro.core.flexftl import FlexFtl
+from repro.experiments import runner
 from repro.ftl.base import FtlConfig
 from repro.ftl.pageftl import PageFtl
 from repro.ftl.parityftl import ParityFtl
@@ -12,7 +17,7 @@ from repro.nand.geometry import NandGeometry
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
 from repro.sim.controller import StorageController
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import HeapSimulator, Simulator
 from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
 
@@ -91,3 +96,41 @@ def build_small_system(ftl_cls, geometry, buffer_pages=32,
     stats = SimStats(page_size=geometry.page_size)
     controller = StorageController(sim, array, ftl, buffer, stats)
     return sim, array, buffer, ftl, controller
+
+
+def _heap_simulator(bucket_width=None):
+    """Drop-in for :class:`~repro.sim.kernel.Simulator` in
+    :func:`~repro.experiments.runner.build_system` (the heap has no
+    buckets, so the width is ignored)."""
+    del bucket_width
+    return HeapSimulator()
+
+
+@contextlib.contextmanager
+def heap_kernel():
+    """Build every system inside the block on the heap oracle kernel.
+
+    Patches the one place the simulator chooses its event queue,
+    ``repro.experiments.runner.Simulator``, so ``build_system`` and
+    everything built through it (experiments, fleet devices) runs on
+    :class:`~repro.sim.kernel.HeapSimulator`.  Fleet workers forked
+    inside the block inherit the patch.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "Simulator", _heap_simulator)
+        yield
+
+
+@pytest.fixture
+def kernel(request):
+    """The event-queue kernel a full-system test builds on.
+
+    Parametrize indirectly with ``"calendar"`` (the shipped kernel, and
+    the default) or ``"heap"`` (the test-only oracle, via
+    :func:`heap_kernel`); the fixture's value is the kernel's name.
+    """
+    name = getattr(request, "param", "calendar")
+    if name not in ("calendar", "heap"):
+        raise ValueError(f"unknown kernel {name!r}")
+    with heap_kernel() if name == "heap" else contextlib.nullcontext():
+        yield name

@@ -1,7 +1,8 @@
 """Seeded chaos property suite: recovery never changes a byte.
 
 Twenty-plus seeded cases crossing injected failure mode (worker
-SIGKILL / hang), event-queue kernel (calendar / heap) and tenancy
+SIGKILL / hang), event-queue kernel (calendar / the heap oracle, swapped
+in by the ``kernel`` fixture of ``tests/helpers.py``) and tenancy
 (plain / QoS-fronted), each asserting the supervision oracle: a chaos
 run with sufficient retry budget reports exactly the fleet fingerprint
 of the undisturbed run, with the injected failures visible in the
@@ -35,22 +36,21 @@ POLICY = SupervisionPolicy(heartbeat_interval=0.05,
 _ORACLES = {}
 
 
-def fleet_for(kernel, tenants, seed):
+def fleet_for(tenants, seed):
     return FleetSpec(devices=DEVICES, ops_per_device=OPS,
-                     tenants=tenants, seed=seed,
-                     config=fleet_config(kernel=kernel))
+                     tenants=tenants, seed=seed, config=fleet_config())
 
 
 def oracle_fingerprint(kernel, tenants, seed):
     key = (kernel, tenants, seed)
     if key not in _ORACLES:
-        result = run_fleet(fleet_for(kernel, tenants, seed), jobs=1)
+        result = run_fleet(fleet_for(tenants, seed), jobs=1)
         _ORACLES[key] = result.report.fingerprint()
     return _ORACLES[key]
 
 
 @pytest.mark.parametrize("tenants", [0, 2])
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+@pytest.mark.parametrize("kernel", ["calendar", "heap"], indirect=True)
 @pytest.mark.parametrize("chaos_seed", [0, 1, 2, 3, 4])
 def test_chaos_recovers_to_oracle(tmp_path, chaos_seed, kernel,
                                   tenants):
@@ -60,7 +60,7 @@ def test_chaos_recovers_to_oracle(tmp_path, chaos_seed, kernel,
     assert len(plan.events) == 1  # one injection per case
 
     result = run_fleet(
-        fleet_for(kernel, tenants, fleet_seed),
+        fleet_for(tenants, fleet_seed),
         jobs=SHARDS,
         supervise=POLICY,
         chaos=plan,

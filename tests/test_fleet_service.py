@@ -251,7 +251,12 @@ class TestServeCli:
         from repro.cli import main
         assert main(["serve", "--resume"]) != 0
 
-    def test_serve_kernel_choices(self):
+    def test_serve_rejects_kernel_and_stepping(self, capsys):
+        """Devices always run the calendar kernel with one-op dispatch;
+        the old selectors are argparse usage errors."""
         from repro.cli import main
-        assert main(["serve", "--devices", "2", "--ops", "40",
-                     "--kernel", "heap", "--no-cache"]) == 0
+        for flag, value in (("--kernel", "heap"), ("--stepping", "batch")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--devices", "2", flag, value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,13 +3,16 @@
 The fleet's backbone claim is byte-identity: a run checkpointed at an
 arbitrary event boundary and resumed produces exactly the same
 SimStats, FTL counters and clock as the run that never stopped.  These
-tests assert it per kernel (calendar and heap), per FTL (pageFTL and
-flexFTL), for vector stepping, for a QoS-fronted device, and for a
-snapshot taken *between* the multi-cut power losses of the PR-4
-machinery.
+tests assert it per kernel (the calendar kernel and, through the test
+seam in ``tests/helpers.py``, the heap oracle), per FTL (pageFTL and
+flexFTL), for a QoS-fronted device, and for a snapshot taken *between*
+two scheduled power-loss cuts.
 """
 
+import hashlib
 import json
+import pickle
+import struct
 
 import pytest
 
@@ -18,8 +21,8 @@ from repro.faults.recovery import recover_after_power_loss
 from repro.fleet.device import DeviceRun, DeviceSpec
 from repro.fleet.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
+    SNAPSHOT_MAGIC,
     SnapshotFormatError,
-    SnapshotMismatchError,
     read_snapshot,
     read_snapshot_header,
     write_snapshot,
@@ -27,6 +30,7 @@ from repro.fleet.snapshot import (
 from repro.nand.geometry import NandGeometry
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.presets import make_preset
+from repro.sim.kernel import HeapSimulator
 from repro.sim.powerloss import ScheduledPowerLoss
 
 GEOMETRY = NandGeometry(channels=2, chips_per_channel=1,
@@ -34,13 +38,11 @@ GEOMETRY = NandGeometry(channels=2, chips_per_channel=1,
                         page_size=4096)
 
 
-def config_for(kernel="calendar", stepping="auto"):
-    return ExperimentConfig(geometry=GEOMETRY, track_history=False,
-                            kernel=kernel, stepping=stepping)
+def config_for():
+    return ExperimentConfig(geometry=GEOMETRY, track_history=False)
 
 
-def spec_for(kernel="calendar", stepping="auto", ftl="flexFTL",
-             tenants=0, device_id=0, ops=240, seed=11):
+def spec_for(ftl="flexFTL", tenants=0, device_id=0, ops=240, seed=11):
     scenario = make_preset("oltp", footprint=96, total_ops=ops,
                            seed=seed)
     spec = scenario.spec()
@@ -57,7 +59,7 @@ def spec_for(kernel="calendar", stepping="auto", ftl="flexFTL",
         device_id=device_id,
         ftl_name=ftl,
         scenario=spec,
-        config=config_for(kernel, stepping),
+        config=config_for(),
         arbiter="wrr" if tenants else None,
     )
 
@@ -74,60 +76,44 @@ def surface(run):
 
 
 class TestDeviceRoundTrip:
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
+    @pytest.mark.parametrize("kernel", ["calendar", "heap"],
+                             indirect=True)
     @pytest.mark.parametrize("ftl", ["pageFTL", "flexFTL"])
     def test_resume_equals_uninterrupted(self, tmp_path, kernel, ftl):
-        spec = spec_for(kernel=kernel, ftl=ftl)
+        spec = spec_for(ftl=ftl)
 
         oracle = DeviceRun.build(spec)
         oracle.run_to_completion()
 
         run = DeviceRun.build(spec)
+        assert isinstance(run.sim, HeapSimulator) == (kernel == "heap")
         run.advance(700)
         assert not run.done  # mid-run: the checkpoint is non-trivial
         path = tmp_path / "dev.snap"
         header = run.save(path)
-        assert header["kernel"] == kernel
         assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
 
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
 
         assert surface(resumed) == surface(oracle)
         assert resumed.fingerprint() == oracle.fingerprint()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
+    @pytest.mark.parametrize("kernel", ["calendar", "heap"],
+                             indirect=True)
     def test_interrupted_continues_like_original(self, tmp_path,
                                                  kernel):
         """The snapshot does not perturb the run it was taken from."""
-        spec = spec_for(kernel=kernel)
+        spec = spec_for()
         run = DeviceRun.build(spec)
         run.advance(500)
         path = tmp_path / "dev.snap"
         run.save(path)
         run.run_to_completion()
 
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
         assert surface(resumed) == surface(run)
-
-    def test_vector_stepping_roundtrip(self, tmp_path):
-        spec = spec_for(stepping="vector")
-        oracle = DeviceRun.build(spec)
-        oracle.run_to_completion()
-
-        run = DeviceRun.build(spec)
-        run.advance(600)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        resumed = DeviceRun.load(path, expect_config=spec.config)
-        # The unified store (numpy view + memoryview slices) must be
-        # re-established, aliasing intact.
-        assert resumed.array._np_states is not None
-        blk = resumed.array.chips[0].blocks[0]
-        assert type(blk._states) is not bytearray
-        resumed.run_to_completion()
-        assert surface(resumed) == surface(oracle)
 
     def test_qos_device_roundtrip(self, tmp_path):
         spec = spec_for(tenants=2, ops=200)
@@ -138,7 +124,7 @@ class TestDeviceRoundTrip:
         run.advance(400)
         path = tmp_path / "dev.snap"
         run.save(path)
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
 
         assert surface(resumed) == surface(oracle)
@@ -148,37 +134,31 @@ class TestDeviceRoundTrip:
 
 
 class TestHeaderValidation:
-    def test_kernel_mismatch_refused(self, tmp_path):
-        spec = spec_for(kernel="calendar")
-        run = DeviceRun.build(spec)
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        with pytest.raises(SnapshotMismatchError,
-                           match="calendar.*heap|heap.*calendar"):
-            DeviceRun.load(path,
-                           expect_config=config_for(kernel="heap"))
+    def test_v1_snapshot_refused_before_unpickling(self, tmp_path,
+                                                   monkeypatch):
+        """A format-1 file (kernel/stepping header, payload pickling
+        the removed batched-dispatch state) is refused with a typed
+        error from its header alone: the unpickler never runs."""
+        blob = b"payload that must never be unpickled"
+        header = json.dumps(
+            {"format_version": 1, "kind": "device_run",
+             "kernel": "calendar", "stepping": "event",
+             "payload_bytes": len(blob),
+             "payload_sha256": hashlib.sha256(blob).hexdigest()},
+            sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "v1.snap"
+        path.write_bytes(SNAPSHOT_MAGIC + struct.pack(">I", len(header))
+                         + header + blob)
 
-    def test_stepping_mismatch_refused(self, tmp_path):
-        spec = spec_for(stepping="batch")
-        run = DeviceRun.build(spec)
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        with pytest.raises(SnapshotMismatchError, match="stepping"):
-            DeviceRun.load(path,
-                           expect_config=config_for(stepping="event"))
+        def unpickle(*args, **kwargs):
+            raise AssertionError("a v1 payload reached the unpickler")
 
-    def test_auto_and_event_stepping_compatible(self, tmp_path):
-        """'auto' resolves to event stepping; the two spellings must
-        resume each other."""
-        run = DeviceRun.build(spec_for(stepping="auto"))
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        header = run.save(path)
-        assert header["stepping"] == "event"
-        DeviceRun.load(path,
-                       expect_config=config_for(stepping="event"))
+        monkeypatch.setattr(pickle, "loads", unpickle)
+        for load in (read_snapshot_header, read_snapshot,
+                     DeviceRun.load):
+            with pytest.raises(SnapshotFormatError,
+                               match="snapshot format 1"):
+                load(path)
 
     def test_header_readable_without_payload(self, tmp_path):
         run = DeviceRun.build(spec_for())
@@ -218,11 +198,9 @@ class TestHeaderValidation:
 
     def test_version_skew_warns(self, tmp_path):
         path = tmp_path / "skew.snap"
-        write_snapshot(path, {"x": 1},
-                       {"kernel": "calendar", "stepping": "event"})
+        write_snapshot(path, {"x": 1}, {})
         blob = path.read_bytes()
         # Rewrite the header with a foreign package version.
-        import struct
         magic_len = 8
         (hlen,) = struct.unpack(">I",
                                 blob[magic_len:magic_len + 4])
@@ -296,13 +274,9 @@ class TestSnapshotBetweenPowerCuts:
         power.arm_next()
         controller._pump()
         path = tmp_path / "mid.snap"
-        write_snapshot(
-            path,
-            {"state": state, "recovered": 1},
-            {"kernel": "calendar", "stepping": "event"})
+        write_snapshot(path, {"state": state, "recovered": 1}, {})
 
-        _header, payload = read_snapshot(path,
-                                         expect_kernel="calendar")
+        _header, payload = read_snapshot(path)
         resumed = payload["state"]
         run_through_cuts(resumed, payload["recovered"])
 

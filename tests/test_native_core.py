@@ -6,7 +6,7 @@ Every case runs one seeded simulation twice — on the pure-Python code
 run produced: ``SimStats.to_dict()``, the FTL counters,
 ``sim.processed`` and, where a case is small enough to step event by
 event, the event pop order.  Cases that must stay on Python (physics,
-tracer, fault injection, batched stepping) also check that the
+tracer, fault injection) also check that the
 coverage counters say so; the common cases check the core really ran.
 """
 
@@ -115,15 +115,10 @@ def mixed_streams(span, count, seed, streams=4):
 
 
 def build(ftl_cls=FlexFtl, buffer_pages=32, ftl_config=None, **ftl_kwargs):
-    """A small system with event stepping (batching off), the way
-    ``runner.build_system`` configures every experiment run."""
-    sim, array, buffer, ftl, _ = build_small_system(
+    """A small system on :data:`GEOMETRY`."""
+    return build_small_system(
         ftl_cls, GEOMETRY, buffer_pages=buffer_pages,
         ftl_config=ftl_config, **ftl_kwargs)
-    controller = StorageController(
-        sim, array, ftl, buffer, SimStats(page_size=GEOMETRY.page_size),
-        batching=False)
-    return sim, array, buffer, ftl, controller
 
 
 def small_run(ftl_cls=FlexFtl, ops=150, seed=3, step=False,
@@ -308,8 +303,7 @@ def test_narrow_calendar(use_core):
             FlexFtl, GEOMETRY, buffer_pages=16)
         sim = Simulator(bucket_width=1e-4, span=2)
         controller = StorageController(
-            sim, array, ftl, buffer, SimStats(page_size=GEOMETRY.page_size),
-            batching=False)
+            sim, array, ftl, buffer, SimStats(page_size=GEOMETRY.page_size))
         host = ClosedLoopHost(sim, controller,
                               mixed_streams(200, 80, seed=13))
         host.start()
@@ -503,8 +497,7 @@ def test_tlc_array(use_core):
             sim, array, buffer, ftl, _ = build_tlc_system(name)
             controller = StorageController(
                 sim, array, ftl, buffer,
-                SimStats(page_size=array.geometry.page_size),
-                batching=False)
+                SimStats(page_size=array.geometry.page_size))
             span = int(ftl.logical_pages * 0.7)
             fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
             fill.start()
@@ -519,23 +512,6 @@ def test_tlc_array(use_core):
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
     assert coverage["native"] > 0
-
-
-@pytest.mark.parametrize("stepping", ["batch", "vector"])
-def test_batched_stepping_takes_python(use_core, stepping):
-    def run():
-        config = runner.ExperimentConfig(geometry=GEOMETRY,
-                                         stepping=stepping)
-        sim, _, _, ftl, controller = runner.build_system("flexFTL", config)
-        host = ClosedLoopHost(sim, controller,
-                              mixed_streams(200, 100, seed=12))
-        host.start()
-        sim.run()
-        return outcome(sim, ftl, controller.stats)
-
-    oracle, native, coverage = both(use_core, run)
-    assert native == oracle
-    assert coverage["native"] == 0 and coverage["python"]["batching"] > 0
 
 
 def test_execute_patched_mid_run(use_core):
@@ -584,8 +560,7 @@ def test_controller_subclass_and_bare_trace(use_core):
             sim, array, buffer, ftl, _ = build_small_system(
                 FlexFtl, GEOMETRY, buffer_pages=16)
             controller = make(sim, array, ftl, buffer,
-                              SimStats(page_size=GEOMETRY.page_size),
-                              batching=False)
+                              SimStats(page_size=GEOMETRY.page_size))
             recorder = controller._trace = Recorder()
             scenario = make_preset("varmail", footprint=150,
                                    total_ops=200, seed=5)

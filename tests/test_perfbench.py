@@ -149,11 +149,10 @@ class TestScaleSweep:
         assert [p.multiplier for p in result.points] == [1, 4]
         for point in result.points:
             assert point.events > 0
-            assert len(point.new) == len(point.baseline) == 1
-            assert point.speedup() > 0
+            assert len(point.rates) == 1
+            assert point.best() == point.median() > 0
         payload = result.to_dict()
-        assert payload["kernel"] == "calendar"
-        assert payload["stepping"] == "auto"
+        assert "kernel" not in payload and "stepping" not in payload
         assert [p["multiplier"] for p in payload["points"]] == [1, 4]
         assert json.loads(out.read_text()) == json.loads(
             json.dumps(payload))
@@ -188,13 +187,14 @@ class TestScaleSweep:
                      "--sweep-multipliers", "1,x"]) == 2
         assert "sweep-multipliers" in capsys.readouterr().err
 
-    def test_cli_kernel_flag_reaches_result(self, capsys):
-        assert main(["perfbench", "--scale", "0.01",
-                     "--workloads", "fig8_write", "--kernel", "heap",
-                     "--stepping", "event", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kernel"] == "heap"
-        assert payload["stepping"] == "event"
+    def test_cli_kernel_and_stepping_flags_rejected(self, capsys):
+        """One kernel and one dispatch path: the old selectors are
+        argparse usage errors, not silently ignored options."""
+        for flag, value in (("--kernel", "heap"), ("--stepping", "batch")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["perfbench", flag, value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommittedBenchGuards:

@@ -213,12 +213,14 @@ class DeviceRun:
         ``extra_header`` entries (e.g. the owning fleet's spec hash)
         are merged into the snapshot header for resume-time checks.
         """
-        if "_execute" in self.controller.__dict__:
+        controller = self.controller
+        if controller._trace is not None \
+                or "_execute" in controller.__dict__:
             raise SnapshotError(
                 "cannot snapshot a device while a tracer is "
-                "installed: the tracer patches the controller with an "
-                "unpicklable closure.  Detach the tracer (or trace "
-                "only untraced fleet runs) and retry.")
+                "installed (or _execute is patched): the tracer chains "
+                "an unpicklable closure into the FTL.  Detach the "
+                "tracer (or trace only untraced fleet runs) and retry.")
         header = self.snapshot_header()
         if extra_header:
             header.update(extra_header)

@@ -10,9 +10,9 @@ adds three cross-cutting facilities:
   records emitted from the controller, the FTLs, the fault machinery
   and the QoS front-end, with an in-memory ring buffer and a JSONL
   sink.  Tracing is strictly opt-in: when no tracer is installed the
-  hot paths are byte-for-byte the PR-2 fast paths (the controller's
-  ``_execute`` is only *replaced* at install time, never wrapped), and
-  cold paths pay a single ``is None`` check.
+  controller's ``_execute`` pays one ``_op_raw is not None`` check per
+  op (its op capture; the native core mirrors it), and cold paths pay
+  a single ``is None`` check.
 * a **metrics registry**
   (:class:`~repro.observability.metrics.MetricsRegistry`): counters,
   gauges and histograms labeled by chip/tenant/ftl, recorded on the

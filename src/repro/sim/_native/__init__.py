@@ -167,8 +167,9 @@ def coverage() -> Optional[Dict[str, Any]]:
     passed to Python}}``, or None on pure Python.  Reasons:
     ``handler`` (no native implementation), ``patched`` (a class
     method the core replaces was patched), ``subclass``,
-    ``injector``, ``physics``, ``execute`` (``_execute`` patched on
-    the instance: tracer, OpLog), ``trace``, ``args``.
+    ``injector``, ``execute`` (``_execute`` patched on the instance:
+    an OpLog, a test), ``args``.  Traced runs and runs with the
+    physics engine attached run natively.
     """
     return core.coverage() if core is not None else None
 
@@ -199,6 +200,7 @@ def _stock_refs() -> Dict[str, Any]:
     import heapq
 
     from repro.core.flexftl import FlexFtl
+    from repro.ftl.base import BaseFtl
     from repro.ftl.cursor import PhaseCursor
     from repro.ftl.mapping import MappingTable
     from repro.nand.geometry import NandGeometry, PhysicalPageAddress
@@ -218,7 +220,9 @@ def _stock_refs() -> Dict[str, Any]:
                              "_complete_read_page", "submit",
                              "_submit_read")),
         (FlexFtl, ("next_op", "_gc_step", "_allocate_gc_page",
-                   "_take_msb")),
+                   "_take_msb", "wants_background_gc",
+                   "_predictor_wants_gc")),
+        (BaseFtl, ("wants_background_gc", "_bg_min_invalid")),
         (MappingTable, ("lookup", "map_write")),
         (NandGeometry, ("address_of",)),
         (WriteBuffer, ("contains", "pop", "push")),
@@ -247,6 +251,10 @@ def _stock_refs() -> Dict[str, Any]:
         "lookup": _stock(MappingTable, "lookup"),
         "stream_issue": _stock(StreamingClosedLoopHost, "_issue"),
         "closed_issue": _stock(ClosedLoopHost, "_issue"),
+        "base_wants_gc": _stock(BaseFtl, "wants_background_gc"),
+        "flex_wants_gc": _stock(FlexFtl, "wants_background_gc"),
+        "bg_min_invalid": _stock(BaseFtl, "_bg_min_invalid"),
+        "predictor_wants_gc": _stock(FlexFtl, "_predictor_wants_gc"),
         "PROGRAM": OpKind.PROGRAM,
         "READ": OpKind.READ,
         "REQUEST_READ": RequestKind.READ,

@@ -6,7 +6,11 @@
  *   - the calendar kernel's pop/dispatch loop and queue insertion
  *     (repro.sim.kernel.Simulator.run / _push / _advance_day);
  *   - the controller's completion, pump, write-buffer drain, read
- *     dispatch and _execute (repro.sim.controller.StorageController);
+ *     dispatch and _execute (repro.sim.controller.StorageController),
+ *     with the tracer's op capture and the physics engine's hooks (the
+ *     engine itself stays Python);
+ *   - the FTLs' idle-time query, BaseFtl/FlexFtl.wants_background_gc
+ *     (repro.ftl.base / repro.core.flexftl);
  *   - the closed-loop hosts' request issue (repro.sim.host /
  *     repro.scenarios.host), which is how requests reach submit();
  *   - flexFTL's open-coded host-write next_op and the BaseFtl._gc_step
@@ -78,7 +82,12 @@
     X(think_after) X(issued) X(streams) X(_cursor) X(time)              \
     X(on_complete) X(addr) X(data) X(pages_remaining) X(submitted_at)   \
     X(channel) X(chip) X(page) X(host) X(_stock_refs)                   \
-    X(_pages_per_block)
+    X(_pages_per_block) X(_op_raw) X(_op_limit) X(_trim) X(event)       \
+    X(phase) X(_phase) X(bg_gc_enabled)                                 \
+    X(gc_threshold_blocks) X(bg_gc_min_invalid_fraction) X(predictor)   \
+    X(_predictor_wants_gc) X(_bg_min_invalid) X(on_read) X(note_program) \
+    X(note_erase) X(_note_physics_read) X(tag) X(sample) X(name) X(prev) \
+    X(stream)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
@@ -93,12 +102,16 @@ static PyTypeObject *T_Simulator, *T_Controller, *T_FlexFtl, *T_Mapping,
     *T_WriteBuffer, *T_Geometry, *T_FlashOp, *T_BufferedWrite, *T_Request,
     *T_PPA, *T_StreamHost, *T_ClosedHost;
 static PyObject *F_push, *F_on_op_done, *F_execute, *F_flex_next_op,
-    *F_lookup, *F_stream_issue, *F_closed_issue;
+    *F_lookup, *F_stream_issue, *F_closed_issue, *F_base_wants_gc,
+    *F_flex_wants_gc, *F_bg_min_invalid, *F_predictor_wants_gc;
 static PyObject *K_PROGRAM, *K_READ, *R_READ, *P_LSB, *P_MSB;
 static PyObject *C_PhaseCursor, *C_StreamCompletion;
 static PyObject *heappush_fn, *heappop_fn;
 static PyObject *STOCK;           /* tuple of (type, name, function) */
-static PyObject *ZERO, *ONE, *KW_TENANT;
+static PyObject *ZERO, *ONE, *KW_TENANT, *KW_SAMPLE, *KW_NOW;
+/* trace events emitted from native code: kinds and keyword names */
+static PyObject *EV_LSB_COMPLETE, *KW_LSB_COMPLETE, *EV_SCENARIO_PHASE,
+    *KW_SCENARIO_PHASE;
 
 /* slot offsets of the slotted dataclasses */
 static Py_ssize_t OP_kind, OP_addr, OP_tag, OP_lpn, OP_on_complete,
@@ -116,16 +129,13 @@ enum {
     WHY_PATCHED,      /* a class method the core replaces was patched */
     WHY_SUBCLASS,     /* the handler is bound to a subclass instance */
     WHY_INJECTOR,     /* a fault injector is attached */
-    WHY_PHYSICS,      /* the physics engine is attached */
-    WHY_EXECUTE,      /* _execute is patched on the instance (tracer, OpLog) */
-    WHY_TRACE,        /* a tracer is installed */
+    WHY_EXECUTE,      /* _execute is patched on the instance (OpLog, tests) */
     WHY_ARGS,         /* the event arguments are not the usual tuple */
     N_REASONS
 };
 
 static const char *REASON_NAMES[N_REASONS] = {
-    "ok", "handler", "patched", "subclass", "injector", "physics",
-    "execute", "trace", "args",
+    "ok", "handler", "patched", "subclass", "injector", "execute", "args",
 };
 
 static unsigned long long cov_native;
@@ -573,6 +583,21 @@ stock_classes(void)
     return 1;
 }
 
+/* 1 when ``o.name`` is ``func`` bound to ``o`` (neither a subclass nor
+ * the instance overrides it), 0 when it is not, -1 on error */
+static int
+bound_to(PyObject *o, PyObject *name, PyObject *func)
+{
+    PyObject *v = PyObject_GetAttr(o, name);
+    int r;
+    if (v == NULL)
+        return -1;
+    r = PyMethod_Check(v) && PyMethod_GET_FUNCTION(v) == func
+        && PyMethod_GET_SELF(v) == o;
+    Py_DECREF(v);
+    return r;
+}
+
 /* Whether the controller's native path applies right now: WHY_OK, a
  * fallback reason, or -1 on error. */
 static int
@@ -589,20 +614,13 @@ controller_reason(PyObject *ctrl)
     Py_DECREF(v);
     if (reason != WHY_OK)
         return reason;
-    if ((v = GA(ctrl, _physics)) == NULL)
+    switch (bound_to(ctrl, S__execute, F_execute)) {
+    case -1:
         return -1;
-    if (v != Py_None)
-        reason = WHY_PHYSICS;
-    Py_DECREF(v);
-    if (reason != WHY_OK)
-        return reason;
-    if ((v = GA(ctrl, _execute)) == NULL)
-        return -1;
-    if (!(PyMethod_Check(v) && PyMethod_GET_FUNCTION(v) == F_execute
-          && PyMethod_GET_SELF(v) == ctrl))
-        reason = WHY_EXECUTE;
-    Py_DECREF(v);
-    return reason;
+    case 0:
+        return WHY_EXECUTE;
+    }
+    return WHY_OK;
 }
 
 /* ------------------------------------------------------------------ */
@@ -617,10 +635,11 @@ controller_reason(PyObject *ctrl)
  * event handled in Python (a power cut's halt() and
  * reset_after_power_loss() rebind the kernel's and the controller's
  * lists), and every host-side callback reached from native code
- * (request and op completions, idle-time FTL work, allocation hooks).
- * Device-internal Python code the core calls (the NAND array, flexFTL's
- * rare branches) never rebinds them.  Mutable scalars (levels,
- * counters, cursors) are never cached.
+ * (request and op completions, idle-time FTL work, a non-stock
+ * idle-time query).  Device-internal Python code the core calls (the
+ * NAND array, flexFTL's rare branches and allocation hooks, the GC
+ * victim scan, the physics engine, the tracer) never rebinds them.
+ * Mutable scalars (levels, counters, cursors) are never cached.
  */
 typedef struct {
     /* the running simulator and the current event's time (borrowed) */
@@ -629,13 +648,21 @@ typedef struct {
     /* controller group: valid while ctrl != NULL */
     PyObject *ctrl;
     int reason;                 /* controller_reason(ctrl) */
-    int traced;                 /* ctrl._trace is not None */
-    int flex;                   /* _ftl_next_op is a stock, untraced FlexFtl's */
+    int flex;                   /* _ftl_next_op is a stock FlexFtl's */
     PyObject *sim, *busy, *idle, *in_flight, *queues, *admissions, *buffer,
         *channel_free, *program, *read, *erase, *push, *next_op, *ftl,
         *lookup, *geometry, *array, *seq, *cancelled, *capacity;
     long long cpc, ppc;
     double tt;
+    /* the tracer's op buffer (ctrl._op_raw) and its trim length, or
+     * op_raw == NULL; the attached physics engine, or NULL */
+    PyObject *op_raw, *physics;
+    double op_limit;
+    /* ftl.wants_background_gc: GCQ_PYTHON, or a stock function evaluated
+     * natively over gc_chips (GCQ_UNKNOWN until the pump first asks);
+     * which of its helpers are stock */
+    int gcq, bg_min_stock, predictor_stock;
+    PyObject *gc_chips;
     /* the calendar kernel behind a stock _sim_push, or psim == NULL */
     PyObject *psim, *buckets, *key_heap, *far;
     double inv;
@@ -712,8 +739,44 @@ ctx_flush(Ctx *cx)
     Py_CLEAR(cx->far);
     Py_CLEAR(cx->fifo);
     Py_CLEAR(cx->resident);
+    Py_CLEAR(cx->op_raw);
+    Py_CLEAR(cx->physics);
+    Py_CLEAR(cx->gc_chips);
     ctx_flush_ftl(cx);
     ctx_flush_mapping(cx);
+}
+
+enum { GCQ_UNKNOWN = -1, GCQ_PYTHON, GCQ_BASE, GCQ_FLEX };
+
+/* Classify cx->ftl's wants_background_gc: the stock BaseFtl or FlexFtl
+ * function (evaluated natively by wants_background_gc below), or
+ * anything else (called). */
+static int
+ctx_gc_query(Ctx *cx)
+{
+    PyObject *ftl = cx->ftl, *v = GA(ftl, wants_background_gc);
+    int gcq = GCQ_PYTHON, bg_min = 0, predictor = 0;
+    if (v == NULL)
+        return -1;
+    if (PyMethod_Check(v) && PyMethod_GET_SELF(v) == ftl) {
+        if (PyMethod_GET_FUNCTION(v) == F_base_wants_gc)
+            gcq = GCQ_BASE;
+        else if (PyMethod_GET_FUNCTION(v) == F_flex_wants_gc)
+            gcq = GCQ_FLEX;
+    }
+    Py_DECREF(v);
+    if (gcq != GCQ_PYTHON) {
+        if ((bg_min = bound_to(ftl, S__bg_min_invalid, F_bg_min_invalid)) < 0
+                || (gcq == GCQ_FLEX
+                    && (predictor = bound_to(ftl, S__predictor_wants_gc,
+                                             F_predictor_wants_gc)) < 0)
+                || (cx->gc_chips = GA(ftl, chips)) == NULL)
+            return -1;
+    }
+    cx->gcq = gcq;
+    cx->bg_min_stock = bg_min;
+    cx->predictor_stock = predictor;
+    return 0;
 }
 
 /* Load the controller group for ``ctrl`` (no-op when it is loaded). */
@@ -730,10 +793,6 @@ ctx_controller(Ctx *cx, PyObject *ctrl)
         return -1;
     Py_INCREF(ctrl);
     cx->ctrl = ctrl;
-    if ((v = GA(ctrl, _trace)) == NULL)
-        goto error;
-    cx->traced = v != Py_None;
-    Py_DECREF(v);
     if ((cx->sim = GA(ctrl, sim)) == NULL
             || (cx->busy = GA(ctrl, _busy)) == NULL
             || (cx->idle = GA(ctrl, _idle)) == NULL
@@ -764,16 +823,32 @@ ctx_controller(Ctx *cx, PyObject *ctrl)
     Py_DECREF(v);
     if (c < 0)
         goto error;
-    /* flexFTL's next_op natively: the stock method of an untraced FlexFtl */
-    cx->flex = 0;
-    if (PyMethod_Check(cx->next_op)
-            && PyMethod_GET_FUNCTION(cx->next_op) == F_flex_next_op
-            && Py_TYPE(PyMethod_GET_SELF(cx->next_op)) == T_FlexFtl) {
-        if ((v = GA(PyMethod_GET_SELF(cx->next_op), _trace)) == NULL)
-            goto error;
-        cx->flex = v == Py_None;
+    /* flexFTL's next_op natively: the stock method of a FlexFtl */
+    cx->flex = PyMethod_Check(cx->next_op)
+        && PyMethod_GET_FUNCTION(cx->next_op) == F_flex_next_op
+        && Py_TYPE(PyMethod_GET_SELF(cx->next_op)) == T_FlexFtl;
+    /* the tracer's op capture */
+    if ((v = GA(ctrl, _op_raw)) == NULL)
+        goto error;
+    if (v == Py_None)
         Py_DECREF(v);
+    else {
+        cx->op_raw = v;
+        if ((v = GA(ctrl, _op_limit)) == NULL)
+            goto error;
+        c = as_double(v, &cx->op_limit);
+        Py_DECREF(v);
+        if (c < 0)
+            goto error;
     }
+    /* the physics engine */
+    if ((v = GA(ctrl, _physics)) == NULL)
+        goto error;
+    if (v == Py_None)
+        Py_DECREF(v);
+    else
+        cx->physics = v;
+    cx->gcq = GCQ_UNKNOWN;
     /* the calendar kernel's push */
     if (PyMethod_Check(cx->push) && PyMethod_GET_FUNCTION(cx->push) == F_push
             && Py_TYPE(PyMethod_GET_SELF(cx->push)) == T_Simulator) {
@@ -1325,6 +1400,69 @@ done:
     return r;
 }
 
+/* The trace capture of StorageController._execute:
+ *
+ *     raw.extend((now, done, chip_id, code, op.tag, addr[2], addr[3],
+ *                 -1 if lpn is None else lpn))
+ *     if len(raw) >= self._op_limit:
+ *         self._trace._trim()
+ *
+ * where ``raw`` is the tracer's list. */
+static int
+trace_op(Ctx *cx, PyObject *ctrl, PyObject *now, PyObject *done,
+         PyObject *chip, PyObject *kind, PyObject *op, PyObject *addr)
+{
+    PyObject *raw = cx->op_raw, *rec[8] = {NULL}, *lpn, *res;
+    Py_ssize_t i;
+    int r = -1;
+
+    if (!PyList_CheckExact(raw)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "native core: the trace buffer is not a list");
+        return -1;
+    }
+    Py_INCREF(raw);
+    Py_INCREF(now);
+    rec[0] = now;
+    Py_INCREF(done);
+    rec[1] = done;
+    Py_INCREF(chip);
+    rec[2] = chip;
+    if ((rec[3] = PyLong_FromLong(kind == K_PROGRAM ? 0 : kind == K_READ
+                                  ? 1 : 2)) == NULL
+            || (rec[4] = OP_GET(op, tag)) == NULL
+            || (rec[5] = ppa_field(addr, 2, S_block)) == NULL
+            || (rec[6] = ppa_field(addr, 3, S_page)) == NULL
+            || (lpn = OP_GET(op, lpn)) == NULL)
+        goto done;
+    if (lpn == Py_None) {
+        Py_DECREF(lpn);
+        if ((lpn = PyLong_FromLong(-1)) == NULL)
+            goto done;
+    }
+    rec[7] = lpn;
+    for (i = 0; i < 8; i++)
+        if (PyList_Append(raw, rec[i]) < 0)
+            goto done;
+    if ((double)PyList_GET_SIZE(raw) >= cx->op_limit) {
+        /* the ring's amortized trim: the tracer's own list, in place */
+        PyObject *trace = GA(ctrl, _trace);
+        if (trace == NULL)
+            goto done;
+        res = call_method0(trace, S__trim);
+        Py_DECREF(trace);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    r = 0;
+done:
+    Py_DECREF(raw);
+    for (i = 0; i < 8; i++)
+        Py_XDECREF(rec[i]);
+    return r;
+}
+
 /* StorageController._execute */
 static int
 controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
@@ -1332,7 +1470,7 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
 {
     PyObject *now = NULL, *kind = NULL, *addr = NULL, *start = NULL,
         *lat = NULL, *tmp = NULL, *entry = NULL, *done_fn = NULL,
-        *args = NULL, *f0 = NULL, *f1 = NULL, *f2 = NULL;
+        *args = NULL, *f0 = NULL, *f1 = NULL, *f2 = NULL, *done_t = NULL;
     double now_d, start_d, lat_d, total;
     Py_ssize_t i;
     int r = -1;
@@ -1430,6 +1568,12 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
             goto done;
     }
     /* NAND calls never rebind the controller: the cache stands */
+    /* done = now + total */
+    if ((done_t = PyFloat_FromDouble(now_d + total)) == NULL)
+        goto done;
+    if (cx->op_raw != NULL
+            && trace_op(cx, ctrl, now, done_t, chip, kind, op, addr) < 0)
+        goto done;
     /* self._busy[chip_id] = True */
     if (set_item(cx->busy, (Py_ssize_t)cid, Py_True) < 0)
         goto done;
@@ -1445,7 +1589,7 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
     /* self.in_flight[chip_id] = op */
     if (PyObject_SetItem(cx->in_flight, chip, op) < 0)
         goto done;
-    /* self._sim_push([now + total, 0, next(sim._seq), self._on_op_done,
+    /* self._sim_push([done, 0, next(sim._seq), self._on_op_done,
      *                 (chip_id, op, read_request), False, sim._cancelled]) */
     if ((tmp = next_of(cx->seq)) == NULL)
         goto done;
@@ -1455,12 +1599,8 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
         goto done;
     if ((entry = PyList_New(7)) == NULL)
         goto done;
-    {
-        PyObject *t = PyFloat_FromDouble(now_d + total);
-        if (t == NULL)
-            goto done;
-        PyList_SET_ITEM(entry, 0, t);
-    }
+    PyList_SET_ITEM(entry, 0, done_t);
+    done_t = NULL;
     Py_INCREF(ZERO);
     PyList_SET_ITEM(entry, 1, ZERO);
     PyList_SET_ITEM(entry, 2, tmp);
@@ -1486,6 +1626,7 @@ done:
     Py_XDECREF(f0);
     Py_XDECREF(f1);
     Py_XDECREF(f2);
+    Py_XDECREF(done_t);
     return r;
 }
 
@@ -1659,8 +1800,7 @@ done:
 }
 
 /* The pump's ``ftl_next_op(chip_id, now)``: flexFTL's next_op natively
- * when it is the stock method of an untraced FlexFtl, the Python call
- * otherwise. */
+ * when it is the stock method of a FlexFtl, the Python call otherwise. */
 static PyObject *
 call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
              long long cid, PyObject *now)
@@ -1673,14 +1813,165 @@ call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
     return PyObject_Vectorcall(next_op, args, 2, NULL);
 }
 
-/* ``not host_idle() and ftl.wants_background_gc(chip)`` then
+/* BaseFtl._bg_min_invalid (new reference) */
+static PyObject *
+bg_min_invalid(Ctx *cx, PyObject *ftl)
+{
+    PyObject *geometry, *config, *v;
+    long long ppb, n;
+    double fraction, x;
+    int c;
+
+    if (!cx->bg_min_stock)
+        return call_method0(ftl, S__bg_min_invalid);
+    /* max(1, int(self.geometry.pages_per_block
+     *            * self.config.bg_gc_min_invalid_fraction)) */
+    if ((geometry = GA(ftl, geometry)) == NULL)
+        return NULL;
+    c = ga_ll(geometry, S_pages_per_block, &ppb);
+    Py_DECREF(geometry);
+    if (c < 0 || (config = GA(ftl, config)) == NULL)
+        return NULL;
+    v = GA(config, bg_gc_min_invalid_fraction);
+    Py_DECREF(config);
+    if (v == NULL)
+        return NULL;
+    c = as_double(v, &fraction);
+    Py_DECREF(v);
+    if (c < 0)
+        return NULL;
+    x = (double)ppb * fraction;
+    if (!(fabs(x) < 9.0e18))
+        return call_method0(ftl, S__bg_min_invalid);  /* raises, or huge */
+    n = (long long)x;               /* int() truncates toward zero */
+    return PyLong_FromLongLong(n > 1 ? n : 1);
+}
+
+/* ``self._predictor_wants_gc(chip_id, now=None)`` as a truth value */
+static int
+predictor_wants_gc(PyObject *ftl, PyObject *chip)
+{
+    PyObject *args[3] = {ftl, chip, Py_None}, *v;
+    int r;
+    v = PyObject_VectorcallMethod(S__predictor_wants_gc, args,
+                                  2 | PY_VECTORCALL_ARGUMENTS_OFFSET, KW_NOW);
+    if (v == NULL)
+        return -1;
+    r = truthy(v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``ftl.wants_background_gc(chip_id)``: 1/0, or -1 on error.  The stock
+ * BaseFtl.wants_background_gc (and FlexFtl's, which adds the
+ * predictor's trigger) runs here; only the victim scan
+ * (``_select_victim``) and a live predictor's check call into Python.
+ * Both are device-internal queries, so the cache stands.  Any other
+ * method is called, and the cache dropped. */
+static int
+wants_background_gc(Ctx *cx, PyObject *chip, long long cid)
+{
+    PyObject *ftl = cx->ftl, *state = NULL, *v = NULL, *config = NULL,
+        *min_invalid = NULL;
+    long long free_n, threshold;
+    int r = -1, c, enabled = 0, want = 0;
+
+    if (cx->gcq == GCQ_UNKNOWN && ctx_gc_query(cx) < 0)
+        return -1;
+    if (cx->gcq == GCQ_PYTHON) {
+        v = call_method1(ftl, S_wants_background_gc, chip);
+        ctx_flush(cx);
+        if (v == NULL)
+            return -1;
+        r = truthy(v);
+        Py_DECREF(v);
+        return r;
+    }
+    Py_INCREF(ftl);
+    if ((state = item_at(cx->gc_chips, (Py_ssize_t)cid)) == NULL)
+        goto done;
+    /* if state.fault_work is not None: return True */
+    if ((v = GA(state, fault_work)) == NULL)
+        goto done;
+    if (v != Py_None) {
+        r = 1;
+        goto done;
+    }
+    Py_CLEAR(v);
+    /* if not self.config.bg_gc_enabled: return False */
+    if ((config = GA(ftl, config)) == NULL
+            || (v = GA(config, bg_gc_enabled)) == NULL
+            || (enabled = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (enabled) {
+        /* if state.pending or state.gc is not None: return True */
+        if ((v = GA(state, pending)) == NULL || (c = truthy(v)) < 0)
+            goto done;
+        Py_CLEAR(v);
+        if (!c) {
+            if ((v = GA(state, gc)) == NULL)
+                goto done;
+            c = v != Py_None;
+            Py_CLEAR(v);
+        }
+        if (c)
+            want = 1;
+        else {
+            /* len(state.free_blocks) < self.gc_threshold_blocks and
+             * self._select_victim(chip_id, self._bg_min_invalid())
+             *     is not None */
+            if ((v = GA(state, free_blocks)) == NULL
+                    || (free_n = PyObject_Length(v)) < 0
+                    || ga_ll(ftl, S_gc_threshold_blocks, &threshold) < 0)
+                goto done;
+            Py_CLEAR(v);
+            if (free_n < threshold) {
+                if ((min_invalid = bg_min_invalid(cx, ftl)) == NULL
+                        || (v = call_method2(ftl, S__select_victim, chip,
+                                             min_invalid)) == NULL)
+                    goto done;
+                want = v != Py_None;
+                Py_CLEAR(v);
+            }
+        }
+    }
+    if (want || cx->gcq == GCQ_BASE) {
+        r = want;
+        goto done;
+    }
+    /* FlexFtl: return self._predictor_wants_gc(chip_id, now=None), which
+     * is False without a predictor or with background GC off */
+    if (cx->predictor_stock) {
+        if (!enabled) {
+            r = 0;
+            goto done;
+        }
+        if ((v = GA(ftl, predictor)) == NULL)
+            goto done;
+        if (v == Py_None) {
+            r = 0;
+            goto done;
+        }
+    }
+    r = predictor_wants_gc(ftl, chip);
+done:
+    Py_DECREF(ftl);
+    Py_XDECREF(state);
+    Py_XDECREF(v);
+    Py_XDECREF(config);
+    Py_XDECREF(min_invalid);
+    return r;
+}
+
+/* ``host_idle() and ftl.wants_background_gc(chip)`` then
  * ``ftl.background_op(chip, now)``: the idle-time work of the pump.
  * Sets *op (new reference) when there is some. */
 static int
 idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
-             PyObject *chip, PyObject *now, PyObject **op)
+             PyObject *chip, long long cid, PyObject *now, PyObject **op)
 {
-    PyObject *v, *ftl, *want;
+    PyObject *v, *ftl;
     int busy, c;
 
     /* host_idle(), inlined */
@@ -1698,16 +1989,10 @@ idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
     Py_DECREF(v);
     if (busy != 0)
         return busy < 0 ? -1 : 0;
-    if ((ftl = GA(ctrl, ftl)) == NULL)
+    if (NEED_CTRL(cx, ctrl) < 0)
         return -1;
-    want = call_method1(ftl, S_wants_background_gc, chip);
-    ctx_flush(cx);
-    if (want == NULL) {
-        Py_DECREF(ftl);
-        return -1;
-    }
-    c = truthy(want);
-    Py_DECREF(want);
+    ftl = CX(cx, ftl);
+    c = wants_background_gc(cx, chip, cid);
     if (c > 0) {
         PyObject *res = call_method2(ftl, S_background_op, chip, now);
         ctx_flush(cx);
@@ -1792,8 +2077,8 @@ controller_pump_body(Ctx *cx, PyObject *ctrl)
                 }
             }
             if (op == Py_None
-                    && idle_time_op(cx, ctrl, admissions, buffer, chip, now,
-                                    &op) < 0) {
+                    && idle_time_op(cx, ctrl, admissions, buffer, chip, cid,
+                                    now, &op) < 0) {
                 Py_DECREF(op);
                 Py_DECREF(rreq);
                 goto done;
@@ -1851,16 +2136,111 @@ controller_pump(Ctx *cx, PyObject *ctrl)
     return r;
 }
 
-/* StorageController._on_op_done (stock path: no injector, no physics) */
+/* The physics hook of StorageController._on_op_done: 1 when the
+ * completion is deferred (a voltage-shift ladder is being charged), 0
+ * when it goes on, -1 on error.  The engine and _note_physics_read are
+ * Python (the engine's floats and RNG stream stay exactly Python's);
+ * both are device-internal, so the cache stands. */
+static int
+physics_hook(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
+             PyObject *rreq)
+{
+    PyObject *physics = CX(cx, physics), *kind = NULL, *addr = NULL,
+        *block = NULL, *page = NULL, *now = NULL, *tag = NULL, *res = NULL;
+    int r = -1, c;
+
+    if ((kind = OP_GET(op, kind)) == NULL || (addr = OP_GET(op, addr)) == NULL
+            || (block = ppa_field(addr, 2, S_block)) == NULL)
+        goto done;
+    if (kind == K_READ) {
+        /* outcome = self._physics.on_read(chip_id, addr.block, addr.page,
+         *     self.sim.now, sample=op.tag == "host") */
+        PyObject *args[6];
+        if ((page = ppa_field(addr, 3, S_page)) == NULL
+                || (now = ctx_now(cx)) == NULL
+                || (tag = OP_GET(op, tag)) == NULL
+                || (c = PyObject_RichCompareBool(tag, S_host, Py_EQ)) < 0)
+            goto done;
+        args[0] = physics;
+        args[1] = chip;
+        args[2] = block;
+        args[3] = page;
+        args[4] = now;
+        args[5] = c ? Py_True : Py_False;
+        if ((res = PyObject_VectorcallMethod(
+                 S_on_read, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                 KW_SAMPLE)) == NULL)
+            goto done;
+        if (res == Py_None) {
+            r = 0;
+            goto done;
+        }
+        /* if self._note_physics_read(chip_id, op, read_request, outcome):
+         *     return */
+        {
+            PyObject *nargs[5] = {ctrl, chip, op, rreq, res}, *deferred;
+            deferred = PyObject_VectorcallMethod(
+                S__note_physics_read, nargs,
+                5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            if (deferred == NULL)
+                goto done;
+            r = truthy(deferred);
+            Py_DECREF(deferred);
+        }
+    }
+    else if (kind == K_PROGRAM) {
+        /* self._physics.note_program(chip_id, addr.block, addr.page,
+         *                            self.sim.now) */
+        PyObject *args[5];
+        if ((page = ppa_field(addr, 3, S_page)) == NULL
+                || (now = ctx_now(cx)) == NULL)
+            goto done;
+        args[0] = physics;
+        args[1] = chip;
+        args[2] = block;
+        args[3] = page;
+        args[4] = now;
+        if ((res = PyObject_VectorcallMethod(
+                 S_note_program, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                 NULL)) == NULL)
+            goto done;
+        r = 0;
+    }
+    else {
+        /* self._physics.note_erase(chip_id, addr.block) */
+        if ((res = call_method2(physics, S_note_erase, chip, block)) == NULL)
+            goto done;
+        r = 0;
+    }
+done:
+    Py_DECREF(physics);
+    Py_XDECREF(kind);
+    Py_XDECREF(addr);
+    Py_XDECREF(block);
+    Py_XDECREF(page);
+    Py_XDECREF(now);
+    Py_XDECREF(tag);
+    Py_XDECREF(res);
+    return r;
+}
+
+/* StorageController._on_op_done (stock path: no fault injector) */
 static int
 controller_on_op_done(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
                       PyObject *rreq)
 {
     PyObject *cb, *res;
     long long cid;
+    int c;
 
     if (as_ll(chip, &cid) < 0 || NEED_CTRL(cx, ctrl) < 0)
         return -1;
+    if (cx->physics != NULL) {
+        if ((c = physics_hook(cx, ctrl, chip, op, rreq)) != 0)
+            return c < 0 ? -1 : 0;
+        if (NEED_CTRL(cx, ctrl) < 0)
+            return -1;
+    }
     /* self._busy[chip_id] = False; insort(self._idle, chip_id) */
     if (set_item(cx->busy, (Py_ssize_t)cid, Py_False) < 0
             || insort_int(cx->idle, chip) < 0)
@@ -2027,6 +2407,56 @@ done:
 /* ------------------------------------------------------------------ */
 /* hosts                                                              */
 
+/* The scenario host's phase emission:
+ *
+ *     trace = getattr(self.controller, "_trace", None)
+ *     if trace is not None and op.phase and op.phase != self._phase:
+ *         trace.event(SCENARIO_PHASE, name=op.phase, prev=self._phase,
+ *                     stream=index)
+ *         self._phase = op.phase
+ */
+static int
+scenario_phase(PyObject *host, PyObject *ctrl, PyObject *op, PyObject *index)
+{
+    PyObject *trace, *phase = NULL, *prev = NULL, *res;
+    int r = -1, c;
+
+    if ((trace = PyObject_GetAttr(ctrl, S__trace)) == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
+    if (trace == Py_None) {
+        Py_DECREF(trace);
+        return 0;
+    }
+    if ((phase = GA(op, phase)) == NULL || (c = truthy(phase)) < 0)
+        goto done;
+    if (c) {
+        if ((prev = GA(host, _phase)) == NULL
+                || (c = PyObject_RichCompareBool(phase, prev, Py_NE)) < 0)
+            goto done;
+        if (c) {
+            PyObject *args[5] = {trace, EV_SCENARIO_PHASE, phase, prev, index};
+            res = PyObject_VectorcallMethod(
+                S_event, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                KW_SCENARIO_PHASE);
+            if (res == NULL)
+                goto done;
+            Py_DECREF(res);
+            if (SA(host, _phase, phase) < 0)
+                goto done;
+        }
+    }
+    r = 0;
+done:
+    Py_DECREF(trace);
+    Py_XDECREF(phase);
+    Py_XDECREF(prev);
+    return r;
+}
+
 /* StreamingClosedLoopHost._issue / ClosedLoopHost._issue */
 static int
 host_issue(Ctx *cx, PyObject *host, PyObject *index, int streaming)
@@ -2071,6 +2501,8 @@ host_issue(Ctx *cx, PyObject *host, PyObject *index, int streaming)
     }
     Py_CLEAR(v);
     if ((ctrl = GA(host, controller)) == NULL)
+        goto done;
+    if (streaming && scenario_phase(host, ctrl, op, index) < 0)
         goto done;
     /* Request(self.sim.now, op.kind, op.lpn, op.npages, tenant=...) */
     if ((sim = GA(host, sim)) == NULL || (now = GA(sim, now)) == NULL
@@ -2403,8 +2835,8 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
         if ((hook = GA(ftl, _after_gc_program)) == NULL)
             goto done;
         if (hook != Py_None) {
+            /* an FTL hook: device-internal, so the cache stands */
             res = PyObject_CallFunctionObjArgs(hook, chip, taddr, tptype, NULL);
-            ctx_flush(cx);
             if (res == NULL)
                 goto done;
             Py_CLEAR(res);
@@ -2471,6 +2903,29 @@ enqueue_parity(Ctx *cx, PyObject *ftl, PyObject *chip, PyObject *block)
     if (res == NULL)
         return -1;
     Py_DECREF(res);
+    return 0;
+}
+
+/* ``if self._trace is not None:
+ *     self._trace.event("2po.lsb_complete", chip=chip_id, block=block)`` */
+static int
+lsb_complete_event(PyObject *ftl, PyObject *chip, PyObject *block)
+{
+    PyObject *trace = GA(ftl, _trace), *res;
+    if (trace == NULL)
+        return -1;
+    if (trace != Py_None) {
+        PyObject *args[4] = {trace, EV_LSB_COMPLETE, chip, block};
+        res = PyObject_VectorcallMethod(
+            S_event, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+            KW_LSB_COMPLETE);
+        if (res == NULL) {
+            Py_DECREF(trace);
+            return -1;
+        }
+        Py_DECREF(res);
+    }
+    Py_DECREF(trace);
     return 0;
 }
 
@@ -2697,6 +3152,7 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
                     goto done;
                 Py_DECREF(res);
                 if (SA(manager, _fast, Py_None) < 0
+                        || lsb_complete_event(ftl, chip, block) < 0
                         || enqueue_parity(cx, ftl, chip, block) < 0)
                     goto done;
             }
@@ -2797,8 +3253,9 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
     if ((v = GA(ftl, _after_host_program)) == NULL)
         goto done;
     if (v != Py_None) {
+        /* an FTL hook (the tracer's allocation capture, the predictor's
+         * observation): device-internal, so the cache stands */
         res = PyObject_CallFunctionObjArgs(v, chip, addr, ptype, now, NULL);
-        ctx_flush(cx);
         if (res == NULL)
             goto done;
         Py_DECREF(res);
@@ -2884,8 +3341,6 @@ dispatch(Ctx *cx, PyObject *fn, PyObject *args)
                 Py_DECREF(ctrl);
                 if (reason < 0)
                     return -1;
-                if (reason == WHY_OK && streaming && cx->traced)
-                    reason = WHY_TRACE;
                 if (reason == WHY_OK)
                     reason = ctx_stock(cx);
             }
@@ -3221,6 +3676,10 @@ bind(void)
             || (F_lookup = ref(refs, "lookup")) == NULL
             || (F_stream_issue = ref(refs, "stream_issue")) == NULL
             || (F_closed_issue = ref(refs, "closed_issue")) == NULL
+            || (F_base_wants_gc = ref(refs, "base_wants_gc")) == NULL
+            || (F_flex_wants_gc = ref(refs, "flex_wants_gc")) == NULL
+            || (F_bg_min_invalid = ref(refs, "bg_min_invalid")) == NULL
+            || (F_predictor_wants_gc = ref(refs, "predictor_wants_gc")) == NULL
             || (K_PROGRAM = ref(refs, "PROGRAM")) == NULL
             || (K_READ = ref(refs, "READ")) == NULL
             || (R_READ = ref(refs, "REQUEST_READ")) == NULL
@@ -3293,7 +3752,16 @@ PyInit__core(void)
 #undef INTERN_NAME
     if ((ZERO = PyLong_FromLong(0)) == NULL
             || (ONE = PyLong_FromLong(1)) == NULL
-            || (KW_TENANT = PyTuple_Pack(1, S_tenant)) == NULL)
+            || (KW_TENANT = PyTuple_Pack(1, S_tenant)) == NULL
+            || (KW_SAMPLE = PyTuple_Pack(1, S_sample)) == NULL
+            || (KW_NOW = PyTuple_Pack(1, S_now)) == NULL
+            || (EV_LSB_COMPLETE = PyUnicode_InternFromString(
+                    "2po.lsb_complete")) == NULL
+            || (KW_LSB_COMPLETE = PyTuple_Pack(2, S_chip, S_block)) == NULL
+            || (EV_SCENARIO_PHASE = PyUnicode_InternFromString(
+                    "scenario.phase")) == NULL
+            || (KW_SCENARIO_PHASE = PyTuple_Pack(3, S_name, S_prev,
+                                                 S_stream)) == NULL)
         return NULL;
     module = PyModule_Create(&core_module);
     if (module == NULL)

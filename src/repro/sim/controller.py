@@ -42,13 +42,19 @@ class StorageController:
 
     #: Observability hooks (:mod:`repro.observability`): a tracer and a
     #: metrics registry, installed together by ``Tracer.install``.
-    #: Class-level None defaults keep untraced runs paying nothing on
-    #: hot paths and one ``is None`` check on the cold fault paths.
-    #: Tracing also replaces :meth:`_execute` with a traced copy (an
-    #: instance attribute), which is why the pump keeps ``_execute``
-    #: late-bound.
+    #: Class-level None defaults keep untraced runs paying one ``is
+    #: None`` check per dispatched op (``_op_raw``) and one on each
+    #: cold fault path.
     _trace = None
     _metrics = None
+    #: The tracer's flat op-record buffer (eight scalars per op, see
+    #: :mod:`repro.observability.tracer`), set by ``Tracer.install``
+    #: together with ``_op_limit``, the length at which it trims its
+    #: ring.  ``__init__`` also sets ``_op_raw`` on the instance:
+    #: CPython 3.11 loads an instance attribute faster than a class
+    #: one, and ``_execute`` reads it per op.  The class default serves
+    #: controllers unpickled from older snapshots.
+    _op_raw = None
 
     def __init__(
         self,
@@ -90,7 +96,7 @@ class StorageController:
         self._ftl_lookup = ftl.mapping.lookup
         #: ftl.next_op bound once (the ftl reference never changes and
         #: next_op is never monkey-patched; _execute stays late-bound
-        #: because tracing *does* patch it)
+        #: because an OpLog patches it)
         self._ftl_next_op = ftl.next_op
         self._read_queues: List[Deque[Tuple[int, Request]]] = \
             [deque() for _ in range(chips)]
@@ -121,6 +127,7 @@ class StorageController:
         #: True once the spare-block reserve is exhausted: writes are
         #: rejected with ReadOnlyDeviceError, reads keep being served
         self.read_only = False
+        self._op_raw = None
 
     # ------------------------------------------------------------------
     # host interface
@@ -339,6 +346,8 @@ class StorageController:
         sim = self.sim
         now = sim.now
         kind = op.kind
+        addr = op.addr
+        # ``code`` is the op kind as the trace records it
         if kind is _PROGRAM:
             channel = chip_id // self._chips_per_channel
             channel_free = self._channel_free
@@ -347,8 +356,9 @@ class StorageController:
                 start = now
             t_transfer = self._t_transfer
             channel_free[channel] = start + t_transfer
-            latency = self._array_program(op.addr, op.data)
+            latency = self._array_program(addr, op.data)
             total = (start - now) + t_transfer + latency
+            code = 0
         elif kind is _READ:
             channel = chip_id // self._chips_per_channel
             channel_free = self._channel_free
@@ -357,11 +367,22 @@ class StorageController:
                 start = now
             t_transfer = self._t_transfer
             channel_free[channel] = start + t_transfer
-            _, latency = self._array_read(op.addr)
+            _, latency = self._array_read(addr)
             total = (start - now) + t_transfer + latency
+            code = 1
         else:
-            total = self._array_erase(op.addr.channel, op.addr.chip,
-                                      op.addr.block)
+            total = self._array_erase(addr.channel, addr.chip, addr.block)
+            code = 2
+        done = now + total
+        raw = self._op_raw
+        if raw is not None:
+            # trace capture: one flat record of scalars per op (see
+            # repro.observability.tracer for why not a tuple)
+            lpn = op.lpn
+            raw.extend((now, done, chip_id, code, op.tag, addr[2], addr[3],
+                        -1 if lpn is None else lpn))
+            if len(raw) >= self._op_limit:
+                self._trace._trim()
         self._busy[chip_id] = True
         idle = self._idle
         del idle[bisect_left(idle, chip_id)]
@@ -373,7 +394,7 @@ class StorageController:
         # and they compare identically.  ``_sim_push`` is the kernel's
         # queue insertion, bound once at construction.
         self._sim_push(
-            [now + total, 0, next(sim._seq), self._on_op_done,
+            [done, 0, next(sim._seq), self._on_op_done,
              (chip_id, op, read_request), False, sim._cancelled])
 
     def _on_op_done(self, chip_id: int, op: FlashOp,

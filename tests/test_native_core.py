@@ -5,9 +5,9 @@ Every case runs one seeded simulation twice — on the pure-Python code
 (:mod:`repro.sim._native`) — and requires byte identity of what the
 run produced: ``SimStats.to_dict()``, the FTL counters,
 ``sim.processed`` and, where a case is small enough to step event by
-event, the event pop order.  Cases that must stay on Python (physics,
-tracer, fault injection) also check that the
-coverage counters say so; the common cases check the core really ran.
+event, the event pop order.  Cases that must stay on Python (fault
+injection, a patched ``_execute``) also check that the coverage
+counters say so; the common cases check the core really ran.
 """
 
 import json
@@ -29,7 +29,7 @@ from repro.ftl.base import FtlConfig
 from repro.ftl.pageftl import PageFtl
 from repro.ftl.parityftl import ParityFtl
 from repro.ftl.rtfftl import RtfFtl
-from repro.nand.geometry import NandGeometry
+from repro.nand.geometry import NandGeometry, PhysicalPageAddress
 from repro.observability.tracer import Tracer
 from repro.reliability.physics import PhysicsConfig, PhysicsEngine
 from repro.scenarios.host import StreamingClosedLoopHost
@@ -38,6 +38,7 @@ from repro.sim import _native
 from repro.sim.host import ClosedLoopHost, StreamOp, TraceReplayHost
 from repro.sim.kernel import Simulator
 from repro.sim.controller import StorageController
+from repro.sim.ops import FlashOp, OpKind
 from repro.sim.powerloss import ScheduledPowerLoss
 from repro.sim.queues import Request, RequestKind
 from repro.sim.stats import SimStats
@@ -171,8 +172,9 @@ def test_golden_fig8(use_core, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
 def test_golden_traces(use_core, tmp_path, name):
-    """The golden trace scenarios (tracer installed, so their
-    completions take the Python path) are identical on both cores."""
+    """The golden trace scenarios (tracer installed) are identical on
+    both cores; the tracer patches nothing the core must leave to
+    Python."""
     def run():
         out = tmp_path / str(len(list(tmp_path.iterdir())))
         out.mkdir()
@@ -180,7 +182,7 @@ def test_golden_traces(use_core, tmp_path, name):
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
-    assert coverage["native"] == 0
+    assert coverage["python"]["execute"] == 0
 
 
 def test_fleet_fingerprint_in_quanta(use_core):
@@ -454,40 +456,6 @@ def test_fault_injector_attached_mid_run(use_core):
     assert coverage["native"] > 0 and coverage["python"]["injector"] > 0
 
 
-def test_physics_and_tracer_take_python(use_core):
-    """Physics armed and a tracer installed: every completion and issue
-    runs the Python code."""
-    def run():
-        config = runner.ExperimentConfig(geometry=GEOMETRY,
-                                         track_history=True)
-        sim, _, _, ftl, controller = runner.build_system("flexFTL", config)
-        footprint = int(ftl.logical_pages * 0.75)
-        runner.warmup_device(sim, controller, ftl, config,
-                             footprint=footprint)
-        tracer = Tracer()
-        tracer.install(controller)
-        controller.attach_physics(PhysicsEngine(PhysicsConfig(
-            seed=3, pe_baseline=6000, retention_baseline_hours=8760.0)))
-        scenario = make_preset("webserver", footprint=footprint,
-                               total_ops=300, seed=3)
-        host = StreamingClosedLoopHost(sim, controller,
-                                       scenario.op_streams(),
-                                       scenario=scenario)
-        NATIVE.reset_coverage()
-        host.start()
-        sim.run()
-        tracer.finish()
-        tracer.detach()
-        records = [(event.kind, event.time, sorted(event.fields.items()))
-                   for event in tracer.events()]
-        return outcome(sim, ftl, controller.stats), records
-
-    oracle, native, coverage = both(use_core, run)
-    assert native == oracle
-    assert coverage["native"] == 0
-    assert coverage["python"]["physics"] > 0
-
-
 def test_tlc_array(use_core):
     """The TLC array and FTLs: NAND calls through the controller's
     bound methods reach the TLC overrides."""
@@ -543,7 +511,8 @@ def test_execute_patched_mid_run(use_core):
 
 def test_controller_subclass_and_bare_trace(use_core):
     """A controller subclass keeps Python; a trace reference without an
-    installed tracer keeps the scenario host's issue on Python."""
+    installed tracer receives the same scenario-phase events from the
+    core's host issue as from Python's."""
     class Recorder:
         def __init__(self):
             self.events = []
@@ -575,8 +544,8 @@ def test_controller_subclass_and_bare_trace(use_core):
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
-    assert coverage["python"]["subclass"] > 0
-    assert coverage["python"]["trace"] > 0 and coverage["native"] > 0
+    assert coverage["python"]["subclass"] > 0 and coverage["native"] > 0
+    assert all(recorder for _, recorder in native)
 
 
 def test_patched_class_keeps_python(use_core, monkeypatch):
@@ -596,3 +565,372 @@ def test_patched_class_keeps_python(use_core, monkeypatch):
     assert native == oracle
     assert coverage["native"] == 0 and coverage["python"]["patched"] > 0
     assert len(calls) > 0
+
+
+# ----------------------------------------------------------------------
+# armed runs: the tracer and the physics engine on the core
+
+
+def armed_system(ops=300, seed=3, capacity=None, geometry=GEOMETRY):
+    """A warmed flexFTL device with history, a tracer installed over
+    the warm-up and the physics engine attached at a worn, aged stress
+    point (P/E 6000, one year of retention), as the benchmark's
+    ``webserver_armed`` builds it; the webserver host is not started."""
+    config = runner.ExperimentConfig(geometry=geometry, track_history=True)
+    sim, _, _, ftl, controller = runner.build_system("flexFTL", config)
+    footprint = int(ftl.logical_pages * 0.75)
+    scenario = make_preset("webserver", footprint=footprint,
+                           total_ops=ops, seed=seed)
+    tracer = Tracer(capacity=capacity)
+    tracer.install(controller)
+    tracer.begin_phase("warmup")
+    runner.warmup_device(sim, controller, ftl, config, footprint=footprint)
+    _, stats = runner.begin_measured_phase(controller, ftl, config)
+    tracer.begin_phase("measured")
+    engine = PhysicsEngine(PhysicsConfig(
+        seed=seed, pe_baseline=6000, retention_baseline_hours=8760.0))
+    controller.attach_physics(engine)
+    ftl.fault_stats = stats.faults
+    host = StreamingClosedLoopHost(sim, controller, scenario.op_streams(),
+                                   scenario=scenario)
+    return sim, ftl, controller, stats, tracer, engine, host
+
+
+def trace_bytes(tracer, path):
+    """``tracer.write_jsonl`` output of the detached tracer (not
+    finished: ``profile.phase`` events carry wall-clock times)."""
+    tracer.detach()
+    tracer.write_jsonl(str(path))
+    return path.read_bytes()
+
+
+def test_armed_webserver(use_core, tmp_path):
+    """Tracer plus physics: SimStats, FTL counters, the engine's
+    summary, the event pop order and the JSONL trace bytes agree, and
+    the core ran the completions and issues itself."""
+    def run():
+        sim, ftl, controller, stats, tracer, engine, host = armed_system(
+            ops=600)
+        NATIVE.reset_coverage()
+        host.start()
+        order = []
+        while sim._ensure_head() and len(order) < 400:
+            entry = sim._active[sim._active_pos]
+            order.append((entry[0], entry[2]))
+            sim.run(max_events=1)
+        sim.run()
+        blob = trace_bytes(tracer, tmp_path / f"{len(order)}-{sim.now}")
+        # the engine's per-block history: erases reset it
+        blocks = sorted(engine._blocks)
+        return (outcome(sim, ftl, stats), order,
+                json.dumps(engine.summary(), sort_keys=True), blob, blocks)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert json.loads(oracle[0])["counters"]["erases"] > 0
+    assert json.loads(oracle[2])["read_errors"] > 0
+    assert b'"ev":"2po.lsb_complete"' in oracle[3]
+    assert b'"ev":"scenario.phase"' in oracle[3]
+    assert "physics" not in coverage["python"]
+    assert coverage["python"]["execute"] == 0
+    assert coverage["native"] > 0
+
+
+def test_armed_ring_capacity(use_core, tmp_path):
+    """A ring-capacity tracer trims at the same points on both cores."""
+    def run():
+        sim, ftl, controller, stats, tracer, engine, host = armed_system(
+            ops=2000, capacity=64)
+        # the buffer's length at every request completion: the ring
+        # trims at the same ops
+        lengths = []
+        controller.completion_hook = \
+            lambda request, now: lengths.append(len(tracer._op_raw))
+        host.start()
+        sim.run()
+        blob = trace_bytes(tracer, tmp_path / f"ring-{sim.now}")
+        return (outcome(sim, ftl, stats), tracer.dropped_ops,
+                tracer.op_count, blob, lengths)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[1] > 0 and oracle[2] == 64
+    # the hot path trimmed (not only the final observation)
+    assert max(oracle[4]) < oracle[1] * 8
+    assert coverage["native"] > 0
+
+
+def test_tracer_installed_and_detached_mid_run(use_core):
+    """A completion hook installs a tracer, and a later one detaches
+    it: the core picks the capture up and drops it at the same ops."""
+    def run():
+        sim, _, _, ftl, controller = build(buffer_pages=16)
+        tracer = Tracer()
+
+        def hook(request, now):
+            done = controller.stats.completed_requests
+            if done == 40:
+                tracer.install(controller)
+            elif done == 160:
+                tracer.detach()
+
+        controller.completion_hook = hook
+        host = ClosedLoopHost(sim, controller,
+                              mixed_streams(200, 80, seed=12))
+        host.start()
+        sim.run()
+        records = [(event.kind, event.time, sorted(event.fields.items()))
+                   for event in tracer.events()]
+        return outcome(sim, ftl, controller.stats), records
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert any(kind == "op.issue" for kind, _, _ in oracle[1])
+    assert coverage["native"] > 0 and coverage["python"]["execute"] == 0
+
+
+def test_oplog_with_tracer_keeps_python(use_core):
+    """An ``OpLog`` patches ``_execute`` on the instance: completions
+    fall back with reason ``execute``, and the stock ``_execute`` the
+    log wraps still feeds the tracer."""
+    def run():
+        sim, _, _, ftl, controller = build(buffer_pages=16)
+        tracer = Tracer().install(controller)
+        log = OpLog.attach(controller)
+        host = ClosedLoopHost(sim, controller,
+                              mixed_streams(200, 60, seed=8))
+        host.start()
+        sim.run()
+        tracer.detach()
+        records = [(r.time, r.chip_id, r.kind, r.tag) for r in log.records]
+        events = [(event.kind, event.time, sorted(event.fields.items()))
+                  for event in tracer.events()]
+        return outcome(sim, ftl, controller.stats), records, events
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert len(oracle[1]) == sum(1 for kind, _, _ in oracle[2]
+                                 if kind == "op.issue")
+    assert coverage["python"]["execute"] > 0
+
+
+def test_armed_run_coverage_contract(use_core):
+    """Seed 1 at scale 0.05 of the benchmark's ``webserver_armed``: no
+    completion falls back for the physics engine or the tracer, at
+    least 95% of events run natively, and the only Python handlers
+    left are the retry ladder's ``_finish_read_recovery`` events."""
+    use_core(True)
+    sim, ftl, controller, stats, tracer, engine, host = armed_system(
+        ops=2000, seed=1, geometry=runner.ExperimentConfig().geometry)
+    NATIVE.reset_coverage()
+    host.start()
+    sim.run()
+    coverage = NATIVE.coverage()
+    tracer.detach()
+    python = coverage["python"]
+    assert "physics" not in python and "trace" not in python
+    assert python["execute"] == 0
+    total = coverage["native"] + sum(python.values())
+    assert coverage["native"] >= 0.95 * total
+    assert engine.read_errors > 0
+    assert python["handler"] == engine.read_errors
+    assert sum(python.values()) == python["handler"]
+
+
+# ----------------------------------------------------------------------
+# the idle-time GC query
+
+
+class CountingPredictor(EwmaBurstPredictor):
+    """A burst predictor that counts its demand estimates."""
+
+    def __init__(self):
+        super().__init__()
+        self.estimates = 0
+
+    def predicted_burst_pages(self, now=None):
+        self.estimates += 1
+        return super().predicted_burst_pages(now)
+
+
+class IdleRecoveryPageFtl(PageFtl):
+    """pageFTL whose host-driven ``next_op`` leaves the recovery backlog
+    alone, so only the idle-time query and ``background_op`` see it."""
+
+    def next_op(self, chip_id, now):
+        state = self.chips[chip_id]
+        if state.pending:
+            return state.pending.popleft()
+        if state.gc is not None and not state.gc.background:
+            return self._gc_step(chip_id)
+        return self._host_write_op(chip_id, now)
+
+
+class QueriedFlexFtl(FlexFtl):
+    """flexFTL whose idle-time query is overridden (and counted)."""
+
+    queries = 0
+
+    def wants_background_gc(self, chip_id):
+        self.queries += 1
+        return super().wants_background_gc(chip_id)
+
+
+def count_calls(ftl, name, counts):
+    """Patch ``ftl.name`` on the instance to count its calls."""
+    method = getattr(ftl, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return method(*args, **kwargs)
+
+    setattr(ftl, name, counted)
+
+
+def idle_run(ftl_cls=FlexFtl, patch=None, **build_kwargs):
+    """``small_run`` returning the FTL too (after ``patch(ftl)``).  The
+    outcome includes how often the idle-time work and the victim scan
+    were called: a query that answers True where the stock one answers
+    False shows there even when the work it asks for comes to
+    nothing."""
+    sim, array, buffer, ftl, controller = build(ftl_cls, **build_kwargs)
+    if patch is not None:
+        patch(ftl)
+    counts = {}
+    count_calls(ftl, "background_op", counts)
+    count_calls(ftl, "_select_victim", counts)
+    span = int(ftl.logical_pages * 0.8)
+    fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
+    fill.start()
+    sim.run()
+    host = ClosedLoopHost(sim, controller, mixed_streams(span, 250, seed=7))
+    host.start()
+    sim.run()
+    return (outcome(sim, ftl, controller.stats),
+            sorted(counts.items())), ftl
+
+
+def test_overridden_query_is_called(use_core):
+    """A subclass override and an instance patch of
+    ``wants_background_gc`` are both still called, as often as on
+    Python."""
+    calls = []
+
+    def patch(ftl):
+        stock = ftl.wants_background_gc
+
+        def counted(chip_id):
+            calls.append(chip_id)
+            return stock(chip_id)
+
+        ftl.wants_background_gc = counted
+
+    def subclass(ftl):
+        ftl.__class__ = QueriedFlexFtl
+
+    def run():
+        subclassed, ftl = idle_run(patch=subclass)
+        del calls[:]
+        patched, _ = idle_run(patch=patch)
+        return subclassed, ftl.queries, patched, len(calls)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[1] > 0 and oracle[3] > 0
+    assert coverage["native"] > 0
+
+
+#: background GC starts below 40% free blocks (the default 10% is one
+#: block on the small test geometry, so idle-time GC would never run)
+EAGER_GC = {"gc_threshold_fraction": 0.4}
+
+
+@pytest.mark.parametrize("ftl_cls,config", [
+    (FlexFtl, {}),
+    (PageFtl, {}),
+    (FlexFtl, {"bg_gc_min_invalid_fraction": 0.45}),
+    (FlexFtl, {"bg_gc_enabled": False}),
+    (PageFtl, {"bg_gc_enabled": False}),
+], ids=["flex", "page", "flex-min-invalid", "flex-bg-off", "page-bg-off"])
+def test_query_eager_background_gc(use_core, ftl_cls, config):
+    """The query at a threshold idle time reaches: background GCs run
+    (or, with background GC off, do not) as on Python, with the same
+    calls of ``background_op`` and the victim scan."""
+    def run():
+        result, ftl = idle_run(ftl_cls, ftl_config=FtlConfig(
+            **EAGER_GC, **config))
+        return result, ftl.background_gcs
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    if config.get("bg_gc_enabled", True):
+        assert oracle[1] > 0
+    else:
+        assert oracle[1] == 0
+    assert coverage["native"] > 0
+
+
+def test_query_with_a_predictor(use_core):
+    """flexFTL with a predictor: the query reaches
+    ``_predictor_wants_gc`` (the predictor's estimates count it) as
+    often as on Python."""
+    def run():
+        predictor = CountingPredictor()
+        result, ftl = idle_run(predictor=predictor,
+                               ftl_config=FtlConfig(**EAGER_GC))
+        return result, predictor.estimates, ftl.background_gcs
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[1] > 0
+    assert coverage["native"] > 0
+
+
+@pytest.mark.parametrize("recovery", ["next_op", "idle"])
+def test_query_with_pending_fault_work(use_core, recovery):
+    """A grown-bad block retired mid-run leaves salvage work; with
+    background GC off the idle-time query still reports it, which is
+    the only way it drains when ``next_op`` leaves it alone."""
+    def run():
+        ftl_cls = PageFtl if recovery == "idle" else FlexFtl
+        sim, _, _, ftl, controller = build(
+            ftl_cls, buffer_pages=16,
+            ftl_config=FtlConfig(bg_gc_enabled=False))
+        if recovery == "idle":
+            ftl.__class__ = IdleRecoveryPageFtl
+            controller._ftl_next_op = ftl.next_op
+        span = int(ftl.logical_pages * 0.8)
+        fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
+        fill.start()
+        sim.run()
+        ftl.fault_stats = controller.ensure_fault_stats()
+        block = min(ftl.chips[0].full_blocks)
+        bad = FlashOp(OpKind.PROGRAM, PhysicalPageAddress(0, 0, block, 0))
+        host = ClosedLoopHost(sim, controller,
+                              mixed_streams(span, 120, seed=9))
+        host.start()
+        sim.schedule(2e-3, ftl.handle_grown_bad, 0, bad)
+        sim.run()
+        return (outcome(sim, ftl, controller.stats),
+                ftl.chips[0].fault_work is None)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert json.loads(oracle[0])["stats"]["faults"]["grown_bad_blocks"] == 1
+    assert oracle[1]  # the salvage drained
+    assert coverage["native"] > 0
+
+
+def test_pageftl_fleet(use_core):
+    """Sixteen pageFTL devices (the stock base query on another FTL)."""
+    fleet = FleetSpec(devices=16, ftl_name="pageFTL", preset="oltp",
+                      ops_per_device=80, seed=4, config=fleet_config())
+
+    def run():
+        served = run_fleet(fleet, jobs=1, quantum=256)
+        return (served.report.fingerprint(),
+                json.dumps(served.report.to_dict(), sort_keys=True))
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert coverage["native"] > 0

@@ -102,10 +102,14 @@ class TestInstallDetach:
             FlexFtl, GEOMETRY)
         thresholds = gc.get_threshold()
         tracer = Tracer().install(controller)
-        assert "_execute" in controller.__dict__
+        # capture rides on the stock _execute: nothing is patched
+        assert "_execute" not in controller.__dict__
+        assert controller._op_raw is tracer._op_raw
         assert gc.get_threshold() != thresholds
         tracer.detach()
         assert "_execute" not in controller.__dict__
+        assert "_op_limit" not in controller.__dict__
+        assert controller._op_raw is None
         assert "_after_host_program" not in ftl.__dict__
         assert controller._trace is None and ftl._trace is None
         assert controller._metrics is None and ftl._metrics is None
@@ -118,7 +122,7 @@ class TestInstallDetach:
         sentinel = lambda *args: None  # noqa: E731
         controller._execute = sentinel
         tracer = Tracer().install(controller)
-        assert controller.__dict__["_execute"] is not sentinel
+        assert controller.__dict__["_execute"] is sentinel
         tracer.detach()
         assert controller.__dict__["_execute"] is sentinel
 

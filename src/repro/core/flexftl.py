@@ -33,11 +33,8 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.page_types import PageType
 from repro.nand.sequence import SequenceScheme
-from repro.sim.ops import FlashOp, OpKind
+from repro.sim.ops import FlashOp
 from repro.sim.queues import WriteBuffer
-
-_PROGRAM = OpKind.PROGRAM
-_new = object.__new__
 
 
 class FlexFtl(BaseFtl):
@@ -127,39 +124,12 @@ class FlexFtl(BaseFtl):
         self, chip_id: int, now: float
     ) -> Optional[Tuple[PhysicalPageAddress, PageType]]:
         manager = self.managers[chip_id]
-        # _lsb_available inlined (called once per host page write)
-        if manager._fast is not None and manager._fast.remaining > 0:
-            lsb_available = True
-        else:
-            lsb_available = len(self.chips[chip_id].free_blocks) \
-                > self.config.gc_reserve_blocks
-        msb_available = bool(manager._sbqueue)
-        # PolicyManager.choose inlined (same rule, same decision
-        # counters); keep in sync with
-        # :meth:`repro.core.page_allocator.PolicyManager.choose`.
-        policy = self.policy
-        if not lsb_available and not msb_available:
+        choice = self.policy.choose(self.write_buffer.utilization,
+                                    self.quota,
+                                    self._lsb_available(chip_id),
+                                    manager.has_slow_block)
+        if choice is None:
             return None
-        if not msb_available:
-            choice = PageType.LSB
-        elif not lsb_available:
-            choice = PageType.MSB
-        else:
-            buffer = self.write_buffer
-            utilization = buffer._live / buffer.capacity
-            config = policy.config
-            if utilization > config.u_high:
-                if self.quota.value > 0:
-                    choice = PageType.LSB
-                else:
-                    choice = policy._next_alternate
-                    policy._next_alternate = choice.paired()
-            elif utilization < config.u_low:
-                choice = PageType.MSB
-            else:
-                choice = policy._next_alternate
-                policy._next_alternate = choice.paired()
-        policy.decisions[choice] += 1
         if choice is PageType.LSB:
             allocated = self._take_lsb(chip_id, for_gc=False)
             if allocated is None and manager.has_slow_block:
@@ -195,13 +165,16 @@ class FlexFtl(BaseFtl):
             if self._trace is not None:
                 self._trace.event("2po.fast_open", chip=chip_id,
                                   block=block)
-        # TwoPhaseBlockManager.take_lsb, inlined without the TakenPage
-        # (per-LSB-write hot path); keep in sync with
-        # :meth:`repro.core.block_manager.TwoPhaseBlockManager.take_lsb`.
+        # TwoPhaseBlockManager.take_lsb, note_lsb_write and
+        # _page_address, inlined without the TakenPage: the native core
+        # calls this method (fast-block installs, GC relocations with no
+        # slow block), so it stays fast.  Keep in sync with
+        # :meth:`repro.core.block_manager.TwoPhaseBlockManager.take_lsb`;
+        # tests/test_take_lsb_inline.py pins the two together.
         wordline = fast._next
         fast._next = wordline + 1
         block = fast.block
-        self.quota.value -= 1  # note_lsb_write, inlined
+        self.quota.value -= 1
         if fast._next >= manager.wordlines:
             # Last LSB page of the fast block: the block joins the
             # SBQueue and its accumulated parity page is persisted.
@@ -221,7 +194,6 @@ class FlexFtl(BaseFtl):
             self._enqueue_parity_backup(
                 chip_id,
                 owner=self.mapping.global_block_of(chip_id, block))
-        # _page_address, inlined (per-allocation hot path);
         # tuple.__new__ skips the NamedTuple __new__ wrapper
         channel, chip = self._coords[chip_id]
         return (tuple.__new__(PhysicalPageAddress,
@@ -231,31 +203,15 @@ class FlexFtl(BaseFtl):
     def _take_msb(
         self, chip_id: int
     ) -> Optional[Tuple[PhysicalPageAddress, PageType]]:
-        manager = self.managers[chip_id]
-        sbqueue = manager._sbqueue
-        if not sbqueue:
+        taken = self.managers[chip_id].take_msb()
+        if taken is None:
             return None
-        # TwoPhaseBlockManager.take_msb, inlined without the TakenPage
-        # (per-MSB-write hot path); keep in sync with
-        # :meth:`repro.core.block_manager.TwoPhaseBlockManager.take_msb`.
-        cursor = sbqueue[0]
-        wordline = cursor._next
-        cursor._next = wordline + 1
-        block = cursor.block
-        done = cursor._next >= manager.wordlines
-        if done:
-            sbqueue.popleft()
-        quota = self.quota  # note_msb_write, inlined (saturating)
-        if quota.value < quota.cap:
-            quota.value += 1
-        # _page_address, inlined (per-allocation hot path);
-        # tuple.__new__ skips the NamedTuple __new__ wrapper
-        channel, chip = self._coords[chip_id]
-        addr = tuple.__new__(PhysicalPageAddress,
-                             (channel, chip, block, 2 * wordline + 1))
-        if done:
+        self.quota.note_msb_write()
+        addr = self._page_address(chip_id, taken.block, taken.wordline,
+                                  PageType.MSB)
+        if taken.phase_done:
             # Block fully written: GC-eligible, parity page now dead.
-            self._mark_block_full(chip_id, block)
+            self._mark_block_full(chip_id, taken.block)
         return addr, PageType.MSB
 
     # ------------------------------------------------------------------
@@ -294,201 +250,15 @@ class FlexFtl(BaseFtl):
         if gb in pending:
             pending.remove(gb)
 
-    def next_op(self, chip_id: int, now: float):
-        """Deferred parity invalidation plus the base dispatch, with
-        the host-write pipeline fully open-coded.
+    def next_op(self, chip_id: int, now: float) -> Optional[FlashOp]:
+        """Deferred parity invalidations, then the base dispatch.
 
-        This runs for every idle chip on every controller pump, and its
-        call chain — base dispatch → ``_host_write_op`` →
-        ``_allocate_host_page`` → policy choice → buffer pop —
-        dominated the simulation profile.  The general forms remain in
-        place for GC, preconditioning, the other FTLs and the tests;
-        keep this in sync with :meth:`repro.ftl.base.BaseFtl.next_op`,
-        :meth:`repro.ftl.base.BaseFtl._host_write_op`,
-        :meth:`_allocate_host_page`,
-        :meth:`repro.core.page_allocator.PolicyManager.choose` and
-        :meth:`repro.sim.queues.WriteBuffer.pop`.
+        The native core recognises this method by identity and runs its
+        C mirror (``flex_next_op`` in ``_core.c``) in its place.
         """
         if self._pending_invalidations[chip_id]:
             self._flush_parity_invalidations(chip_id)
-        state = self.chips[chip_id]
-        if state.pending:
-            return state.pending.popleft()
-        if state.fault_work is not None:
-            op = self._fault_recovery_op(chip_id, now)
-            if op is not None:
-                return op
-        gc = state.gc
-        if gc is not None and not gc.background:
-            return self._gc_step(chip_id)
-        # ---- BaseFtl._host_write_op, open-coded ----
-        buffer = self.write_buffer
-        if not buffer._live:
-            return None
-        # ---- _allocate_host_page, open-coded ----
-        manager = self.managers[chip_id]
-        fast = manager._fast
-        sbqueue = manager._sbqueue
-        wordlines = manager.wordlines
-        if fast is not None and fast._next < wordlines:
-            lsb_available = True
-        else:
-            lsb_available = len(state.free_blocks) \
-                > self.config.gc_reserve_blocks
-        msb_available = bool(sbqueue)
-        addr = None
-        alloc = None
-        if lsb_available or msb_available:
-            policy = self.policy
-            if not msb_available:
-                choice = PageType.LSB
-            elif not lsb_available:
-                choice = PageType.MSB
-            else:
-                utilization = buffer._live / buffer.capacity
-                config = policy.config
-                if utilization > config.u_high:
-                    if self.quota.value > 0:
-                        choice = PageType.LSB
-                    else:
-                        choice = policy._next_alternate
-                        policy._next_alternate = PageType.MSB \
-                            if choice is PageType.LSB else PageType.LSB
-                elif utilization < config.u_low:
-                    choice = PageType.MSB
-                else:
-                    choice = policy._next_alternate
-                    policy._next_alternate = PageType.MSB \
-                        if choice is PageType.LSB else PageType.LSB
-            policy.decisions[choice] += 1
-            if choice is PageType.LSB:
-                if fast is not None:
-                    # _take_lsb with an installed fast block, inlined
-                    # (cannot fail; the install/free-block path below
-                    # delegates to the method)
-                    wordline = fast._next
-                    fast._next = wordline + 1
-                    block = fast.block
-                    self.quota.value -= 1  # note_lsb_write, inlined
-                    if fast._next >= wordlines:
-                        sbqueue.append(
-                            PhaseCursor(block, wordlines, PageType.MSB))
-                        manager._fast = None
-                        if self._trace is not None:
-                            self._trace.event("2po.lsb_complete",
-                                              chip=chip_id, block=block)
-                        self._enqueue_parity_backup(
-                            chip_id,
-                            owner=self.mapping.global_block_of(
-                                chip_id, block))
-                    elif self.parity_interval > 0 \
-                            and (wordline + 1) % self.parity_interval == 0:
-                        self._enqueue_parity_backup(
-                            chip_id,
-                            owner=self.mapping.global_block_of(
-                                chip_id, block))
-                    page = 2 * wordline
-                    channel, chip = self._coords[chip_id]
-                    addr = tuple.__new__(PhysicalPageAddress,
-                                         (channel, chip, block, page))
-                    ptype = PageType.LSB
-                    ppn = (chip_id * self._pages_per_chip
-                           + block * self._ppb + page)
-                else:
-                    alloc = self._take_lsb(chip_id, for_gc=False)
-                    if alloc is None:
-                        alloc = self._take_msb(chip_id)
-            else:
-                # _take_msb, inlined (an MSB choice implies the SBQueue
-                # is non-empty, so the take cannot fail)
-                cursor = sbqueue[0]
-                wordline = cursor._next
-                cursor._next = wordline + 1
-                block = cursor.block
-                done = cursor._next >= wordlines
-                if done:
-                    sbqueue.popleft()
-                quota = self.quota  # note_msb_write, inlined (saturating)
-                if quota.value < quota.cap:
-                    quota.value += 1
-                page = 2 * wordline + 1
-                channel, chip = self._coords[chip_id]
-                addr = tuple.__new__(PhysicalPageAddress,
-                                     (channel, chip, block, page))
-                ptype = PageType.MSB
-                ppn = (chip_id * self._pages_per_chip
-                       + block * self._ppb + page)
-                if done:
-                    # Block fully written: GC-eligible, parity dead.
-                    self._mark_block_full(chip_id, block)
-        if addr is None:
-            if alloc is None:
-                # Write-blocked: start (or promote) a foreground
-                # collection.
-                if state.gc is None:
-                    victim = self._select_victim(chip_id)
-                    if victim is not None:
-                        self._begin_gc(chip_id, victim, background=False)
-                elif state.gc.background:
-                    state.gc.background = False
-                if state.gc is not None and not state.gc.background:
-                    return self._gc_step(chip_id)
-                return None
-            addr, ptype = alloc
-            # addr is a NamedTuple: index access skips the descriptor
-            ppn = (addr[0] * self._cpc + addr[1]) * self._pages_per_chip \
-                + addr[2] * self._ppb + addr[3]
-        # ---- WriteBuffer.pop, open-coded ----
-        if buffer._stale:  # stale marks exist only with coalescing on
-            entry = buffer.pop()
-        else:
-            entry = buffer._fifo.popleft()
-            elpn = entry.lpn
-            resident = buffer._resident
-            remaining = resident[elpn] - 1
-            if remaining:
-                resident[elpn] = remaining
-            else:
-                del resident[elpn]
-            buffer._live -= 1
-        lpn = entry.lpn
-        # ---- MappingTable.map_write, open-coded (error paths delegate
-        # so the exact exception is raised); keep in sync with
-        # :meth:`repro.ftl.mapping.MappingTable.map_write` ----
-        mapping = self.mapping
-        p2l = mapping._p2l
-        if not 0 <= lpn < mapping.logical_pages or p2l[ppn] >= 0:
-            mapping.map_write(lpn, ppn)  # raises
-        valid = mapping._valid
-        l2p = mapping._l2p
-        old = l2p[lpn]
-        if old >= 0:
-            p2l[old] = -1
-            valid[old // self._ppb] -= 1
-        else:
-            mapping._mapped += 1
-        l2p[lpn] = ppn
-        p2l[ppn] = lpn
-        gb = ppn // self._ppb
-        valid[gb] += 1
-        # write-clock accounting, inlined (see _note_block_write)
-        self._write_clock += 1
-        self._block_write_stamp[gb] = self._write_clock
-        self.host_programs += 1
-        hook = self._after_host_program
-        if hook is not None:
-            hook(chip_id, addr, ptype, now)
-        # FlashOp built via object.__new__ + slot stores: skips the
-        # dataclass __init__ frame (once per host program)
-        op = _new(FlashOp)
-        op.kind = _PROGRAM
-        op.addr = addr
-        op.tag = "host"
-        op.lpn = lpn
-        op.on_complete = None
-        op.data = None
-        op.source = None
-        return op
+        return BaseFtl.next_op(self, chip_id, now)
 
     def _observe_host_program(self, chip_id, addr, ptype, now):
         # installed as the base _after_host_program hook only when a

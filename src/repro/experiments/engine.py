@@ -308,7 +308,7 @@ def workload_cell(
 ) -> Cell:
     """Convenience constructor for the common ``run_workload`` cell.
 
-    Takes exactly one workload source: legacy pre-built ``streams``
+    Takes exactly one workload source: pre-built ``streams``
     (wrapped into a :class:`~repro.scenarios.base.StreamScenario`) or
     a ``scenario`` (a :class:`~repro.scenarios.base.Scenario` or its
     spec dict).  Either way the cell carries a JSON-safe scenario
@@ -318,7 +318,7 @@ def workload_cell(
     """
     if (streams is None) == (scenario is None):
         raise ValueError(
-            "workload_cell() takes exactly one of streams (legacy) "
+            "workload_cell() takes exactly one of streams "
             "or scenario")
     if streams is not None:
         spec = StreamScenario.from_streams(streams).spec()

@@ -42,6 +42,7 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.synthetic import mixed_stream
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "flexFTL")
@@ -119,12 +120,13 @@ def run_fault_campaign(
     """Run the ``ftl x program-failure-rate`` grid (plus resume run)."""
     config = campaign_config(config)
     span = experiment_span(config, utilization=utilization, ftls=ftls)
-    streams = build_campaign_streams(span, total_ops, seed)
+    scenario = StreamScenario.from_streams(
+        build_campaign_streams(span, total_ops, seed))
 
     cells = [
         Cell.make(
             "fault_workload", label=f"{ftl}@{rate:g}",
-            ftl_name=ftl, streams=streams,
+            ftl_name=ftl, scenario=scenario.spec(),
             plan=FaultPlan(seed=derive_seed(seed, "rate", rate),
                            program_fail_rate=rate),
             config=config,
@@ -143,7 +145,7 @@ def run_fault_campaign(
         # ops at hundreds-of-microseconds programs span tens of ms.
         offsets = [0.004 * (index + 1) for index in range(cuts)]
         resume_result, recoveries = run_powerloss_resume(
-            ftl_name=resume_ftl, streams=streams, cut_offsets=offsets,
+            ftl_name=resume_ftl, scenario=scenario, cut_offsets=offsets,
             config=config)
         campaign.resume_ftl = resume_ftl
         campaign.resume_result = resume_result

@@ -12,7 +12,6 @@ deltas), which is standard SSD evaluation methodology.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.flexftl import FlexFtl
@@ -30,7 +29,6 @@ from repro.nand.timing import NandTiming
 from repro.scenarios.base import (
     OPEN,
     Scenario,
-    StreamScenario,
     as_scenario,
 )
 from repro.scenarios.host import (
@@ -38,7 +36,7 @@ from repro.scenarios.host import (
     StreamingTraceReplayHost,
 )
 from repro.sim.controller import StorageController
-from repro.sim.host import ClosedLoopHost, StreamOp
+from repro.sim.host import ClosedLoopHost
 from repro.sim.kernel import Simulator
 from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
@@ -255,32 +253,6 @@ def experiment_span(config: Optional[ExperimentConfig] = None,
     return max(1, int(smallest * utilization))
 
 
-def coerce_scenario(streams: Optional[Sequence[Sequence[StreamOp]]],
-                    scenario: Any, caller: str,
-                    deprecate_streams: bool = False) -> Scenario:
-    """Resolve a runner's ``streams=``/``scenario=`` pair.
-
-    Exactly one of the two must be given.  ``streams`` wraps into a
-    :class:`~repro.scenarios.base.StreamScenario` (the legacy adapter,
-    byte-identical to the pre-scenario code path); ``scenario``
-    accepts a :class:`~repro.scenarios.base.Scenario` or its spec dict
-    (how engine cells carry scenarios across process boundaries).
-    """
-    if (streams is None) == (scenario is None):
-        raise TypeError(
-            f"{caller}() takes exactly one of streams= (legacy) or "
-            f"scenario=")
-    if streams is not None:
-        if deprecate_streams:
-            warnings.warn(
-                f"{caller}(streams=...) is deprecated; wrap the "
-                f"streams in repro.scenarios.StreamScenario (or use a "
-                f"WorkloadScenario/TraceScenario) and pass scenario=",
-                DeprecationWarning, stacklevel=3)
-        return StreamScenario.from_streams(streams)
-    return as_scenario(scenario)
-
-
 def warmup_device(sim: Simulator, controller: StorageController,
                   ftl: BaseFtl, config: ExperimentConfig, *,
                   footprint: Optional[int] = None,
@@ -343,8 +315,7 @@ def scenario_host(sim: Simulator, controller: StorageController,
 def run_workload(
     *,
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[StreamOp]]] = None,
-    scenario: Any = None,
+    scenario: Any,
     config: Optional[ExperimentConfig] = None,
     max_events: Optional[int] = None,
     warmup_span: Optional[int] = None,
@@ -363,12 +334,8 @@ def run_workload(
             :class:`~repro.scenarios.base.Scenario` or its spec dict
             (see :mod:`repro.scenarios`); closed-mode scenarios drive
             synchronous worker streams, open-mode ones replay timed
-            arrivals.
-        streams: *deprecated* — legacy closed-loop stream lists;
-            wrapped into a
-            :class:`~repro.scenarios.base.StreamScenario` with a
-            :class:`DeprecationWarning`.  Mutually exclusive with
-            ``scenario``.
+            arrivals.  Wrap pre-built stream lists with
+            :meth:`~repro.scenarios.base.StreamScenario.from_streams`.
         config: system configuration.
         max_events: optional simulation event cap (safety backstop).
         warmup_span: logical pages to precondition (defaults to the
@@ -384,8 +351,7 @@ def run_workload(
         A :class:`RunResult` whose statistics and counters cover only
         the measured phase (warmup excluded).
     """
-    workload = coerce_scenario(streams, scenario, "run_workload",
-                               deprecate_streams=True)
+    workload = as_scenario(scenario)
     config = config or ExperimentConfig()
     sim, array, buffer, ftl, controller = build_system(ftl_name, config)
 

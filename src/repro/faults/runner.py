@@ -25,15 +25,13 @@ from repro.experiments.runner import (
     _snapshot,
     begin_measured_phase,
     build_system,
-    coerce_scenario,
     scenario_host,
     warmup_device,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import PowerLossRecovery, recover_after_power_loss
-from repro.scenarios.base import CLOSED, Scenario
-from repro.sim.host import StreamOp
+from repro.scenarios.base import CLOSED, Scenario, as_scenario
 from repro.sim.powerloss import ScheduledPowerLoss
 
 
@@ -76,8 +74,7 @@ def _finish(ftl_name, sim, ftl, baseline, measured_stats) -> RunResult:
 def run_fault_workload(
     *,
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[StreamOp]]] = None,
-    scenario: Any = None,
+    scenario: Any,
     plan: FaultPlan,
     config: Optional[ExperimentConfig] = None,
     max_events: Optional[int] = None,
@@ -86,8 +83,7 @@ def run_fault_workload(
     """Precondition fault-free, then run one workload under ``plan``.
 
     The workload comes from ``scenario`` (a
-    :class:`~repro.scenarios.base.Scenario` or spec dict) or legacy
-    ``streams`` — exactly one of the two.
+    :class:`~repro.scenarios.base.Scenario` or spec dict).
 
     The returned :class:`~repro.experiments.runner.RunResult` carries
     the measured phase's :class:`~repro.sim.stats.FaultStats` in
@@ -95,7 +91,7 @@ def run_fault_workload(
     nothing — a campaign's zero-rate baseline reports zeros, not
     None).
     """
-    workload = coerce_scenario(streams, scenario, "run_fault_workload")
+    workload = as_scenario(scenario)
     sim, ftl, controller, config, baseline, measured_stats = \
         _warmed_system(ftl_name, workload, config, max_events,
                        warmup_span, plan)
@@ -112,8 +108,7 @@ def run_fault_workload(
 def run_powerloss_resume(
     *,
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[StreamOp]]] = None,
-    scenario: Any = None,
+    scenario: Any,
     cut_offsets: Sequence[float],
     plan: Optional[FaultPlan] = None,
     config: Optional[ExperimentConfig] = None,
@@ -137,8 +132,7 @@ def run_powerloss_resume(
     """
     if not cut_offsets:
         raise ValueError("cut_offsets must not be empty")
-    workload = coerce_scenario(streams, scenario,
-                               "run_powerloss_resume")
+    workload = as_scenario(scenario)
     if workload.mode != CLOSED:
         raise ValueError(
             "run_powerloss_resume() needs a closed-mode scenario: "

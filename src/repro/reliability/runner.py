@@ -19,20 +19,19 @@ pages-to-ECC-failure onset the ``lifetime_physics`` experiment reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.experiments.runner import (
     ExperimentConfig,
     RunResult,
     begin_measured_phase,
     build_system,
-    coerce_scenario,
     scenario_host,
     warmup_device,
     _snapshot,
 )
 from repro.reliability.physics import PhysicsConfig, PhysicsEngine
-from repro.sim.host import StreamOp
+from repro.scenarios.base import as_scenario
 
 
 @dataclasses.dataclass
@@ -77,8 +76,7 @@ class PhysicsRunResult:
 def run_physics_workload(
     *,
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[StreamOp]]] = None,
-    scenario: Any = None,
+    scenario: Any,
     physics: Optional[PhysicsConfig] = None,
     config: Optional[ExperimentConfig] = None,
     max_events: Optional[int] = None,
@@ -88,16 +86,15 @@ def run_physics_workload(
     """Precondition physics-free, then measure with errors emerging.
 
     The workload comes from ``scenario`` (a
-    :class:`~repro.scenarios.base.Scenario` or spec dict) or legacy
-    ``streams`` — exactly one of the two.  ``physics`` defaults to
-    :class:`~repro.reliability.physics.PhysicsConfig` defaults (fresh
-    device, frozen retention clock).
+    :class:`~repro.scenarios.base.Scenario` or spec dict).  ``physics``
+    defaults to :class:`~repro.reliability.physics.PhysicsConfig`
+    defaults (fresh device, frozen retention clock).
 
     The returned result carries the measured phase's
     :class:`~repro.sim.stats.FaultStats` in ``run.stats.faults`` (the
     ladder counters) plus the engine summary in ``physics``.
     """
-    workload = coerce_scenario(streams, scenario, "run_physics_workload")
+    workload = as_scenario(scenario)
     config = config or ExperimentConfig()
     if not config.track_history:
         raise ValueError(

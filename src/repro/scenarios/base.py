@@ -7,7 +7,7 @@ tagged host requests.  The measured runners —
 :func:`repro.faults.runner.run_fault_workload` — all accept one via
 ``scenario=``, so the stateful phase generator
 (:mod:`repro.scenarios.generator`), on-disk trace replay
-(:mod:`repro.scenarios.csvio`) and legacy pre-built stream lists
+(:mod:`repro.scenarios.csvio`) and pre-built stream lists
 (:class:`StreamScenario`) drive a simulated device through exactly the
 same code path.
 
@@ -281,9 +281,8 @@ _OP_KINDS = {"R": RequestKind.READ, "W": RequestKind.WRITE}
 class StreamScenario(Scenario):
     """Adapter wrapping pre-built closed-loop stream lists.
 
-    This is what the deprecated ``streams=`` keyword of the runners
-    becomes internally, and what keeps every pre-scenario workload
-    generator (:mod:`repro.workloads`) usable unchanged::
+    This keeps every pre-scenario workload generator
+    (:mod:`repro.workloads`) usable unchanged::
 
         scenario = StreamScenario.from_streams(
             build_workload("Varmail", span, total_ops=4000))

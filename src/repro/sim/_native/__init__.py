@@ -193,13 +193,18 @@ def _stock_refs() -> Dict[str, Any]:
     """The classes, stock methods and constants the core binds to.
 
     Called by the core on its first run.  ``stock`` lists every
-    ``(class, name, function)`` the core replaces; a run whose classes
-    no longer resolve one of them to the stock function (a test or a
-    profiler patched it) keeps every handler on Python.
+    ``(class, name, function)`` the core mirrors, plus every method and
+    property the Python form of a mirrored method calls on its way (the
+    native path skips those too), short of the value types
+    (``PhaseCursor``, ``PageType``, the address tuple); a run whose
+    classes no longer resolve one of them to the stock function (a test
+    or a profiler patched it) keeps every handler on Python.
     """
     import heapq
 
+    from repro.core.block_manager import TwoPhaseBlockManager
     from repro.core.flexftl import FlexFtl
+    from repro.core.page_allocator import PolicyManager, QuotaTracker
     from repro.ftl.base import BaseFtl
     from repro.ftl.cursor import PhaseCursor
     from repro.ftl.mapping import MappingTable
@@ -212,6 +217,7 @@ def _stock_refs() -> Dict[str, Any]:
     from repro.sim.ops import FlashOp, OpKind
     from repro.sim.queues import BufferedWrite, Request, RequestKind, \
         WriteBuffer
+    from repro.sim.stats import SimStats
 
     replaced = (
         (Simulator, ("_push", "_advance_day")),
@@ -220,12 +226,18 @@ def _stock_refs() -> Dict[str, Any]:
                              "_complete_read_page", "submit",
                              "_submit_read")),
         (FlexFtl, ("next_op", "_gc_step", "_allocate_gc_page",
-                   "_take_msb", "wants_background_gc",
-                   "_predictor_wants_gc")),
-        (BaseFtl, ("wants_background_gc", "_bg_min_invalid")),
+                   "_allocate_host_page", "_lsb_available", "_take_msb",
+                   "wants_background_gc", "_predictor_wants_gc")),
+        (BaseFtl, ("next_op", "_host_write_op", "_page_address",
+                   "wants_background_gc", "_bg_min_invalid")),
+        (PolicyManager, ("choose", "_alternate", "_record")),
+        (TwoPhaseBlockManager, ("take_msb", "has_slow_block",
+                                "free_lsb_pages")),
+        (QuotaTracker, ("note_msb_write",)),
         (MappingTable, ("lookup", "map_write")),
         (NandGeometry, ("address_of",)),
-        (WriteBuffer, ("contains", "pop", "push")),
+        (WriteBuffer, ("contains", "pop", "push", "utilization")),
+        (SimStats, ("note_host_page_write",)),
         (StreamingClosedLoopHost, ("_issue",)),
         (ClosedLoopHost, ("_issue",)),
     )

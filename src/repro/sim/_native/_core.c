@@ -1,7 +1,7 @@
 /*
  * Native dispatch core of the simulator.
  *
- * A C copy of the simulator's hottest Python code:
+ * A C mirror of the simulator's hottest Python code:
  *
  *   - the calendar kernel's pop/dispatch loop and queue insertion
  *     (repro.sim.kernel.Simulator.run / _push / _advance_day);
@@ -13,17 +13,26 @@
  *     (repro.ftl.base / repro.core.flexftl);
  *   - the closed-loop hosts' request issue (repro.sim.host /
  *     repro.scenarios.host), which is how requests reach submit();
- *   - flexFTL's open-coded host-write next_op and the BaseFtl._gc_step
- *     relocation step (repro.core.flexftl / repro.ftl.base).
+ *   - flexFTL's host-write next_op, which fuses the general methods
+ *     FlexFtl.next_op -> BaseFtl.next_op -> _host_write_op ->
+ *     FlexFtl._allocate_host_page -> PolicyManager.choose / _take_msb
+ *     -> WriteBuffer.pop -> MappingTable.map_write, and the
+ *     BaseFtl._gc_step relocation step (repro.core.flexftl /
+ *     repro.ftl.base).
  *
  * The Python code stays the reference ("oracle"): every function here
- * mirrors one Python method statement by statement, reads and writes
- * the very same Python objects in the same order, and calls the Python
- * method for every rare branch (fault work, fast-block install, parity
- * enqueue, victim selection, erase, errors).  NAND operations always go
- * through the controller's bound _array_* methods.  Keep each function
- * in sync with the method named in its comment; the differential suite
- * (tests/test_native_core.py) pins the two copies together.
+ * mirrors the plain general Python methods named in its comment, reads
+ * and writes the very same Python objects in the same order, and calls
+ * the Python method for every rare branch (fault work, fast-block
+ * install, parity enqueue, victim selection, erase, errors).  NAND
+ * operations always go through the controller's bound _array_*
+ * methods.  The rule for the Python side: a method this file mirrors
+ * is written plainly (the speed lives here), while a method this file
+ * calls into may stay hand-inlined (FlexFtl._take_lsb).  Keep each
+ * function in sync with the methods named in its comment; the
+ * differential suite (tests/test_native_core.py) pins the two
+ * together, and _stock_refs() lists every mirrored method, so a
+ * patched one keeps the run on Python.
  *
  * An event runs natively only when the stock code is in place: see
  * controller_reason() and stock_classes().  Otherwise its Python
@@ -870,7 +879,7 @@ ctx_controller(Ctx *cx, PyObject *ctrl)
             }
         }
     }
-    /* the write buffer's containers (drain fast path) */
+    /* the write buffer's containers (the native drain) */
     if (Py_TYPE(cx->buffer) == T_WriteBuffer) {
         if ((v = GA(cx->buffer, coalesce)) == NULL)
             goto error;
@@ -1630,8 +1639,13 @@ done:
     return r;
 }
 
-/* StorageController._drain_admissions (the non-coalescing fast path;
- * the general form stays in Python).  1 = progress, 0 = none. */
+/* StorageController._drain_admissions with WriteBuffer.push and
+ * SimStats.note_host_page_write folded in, for a non-coalescing stock
+ * buffer (anything else calls the Python method).  The clock is fixed
+ * for the whole drain, so the page count and the bandwidth bucket are
+ * added once per drain instead of once per page: same end state, and
+ * nothing reads them from a completion callback mid-drain.
+ * 1 = progress, 0 = none. */
 static int
 controller_drain(Ctx *cx, PyObject *ctrl)
 {
@@ -2657,8 +2671,10 @@ chip_page_address(Ctx *cx, long long cid, PyObject *block, long long page)
     return addr;
 }
 
-/* FlexFtl._take_msb (also the MSB branch open-coded in next_op).
- * 1 with *addr set (new reference), 0 when the SBQueue is empty. */
+/* FlexFtl._take_msb: TwoPhaseBlockManager.take_msb,
+ * QuotaTracker.note_msb_write, BaseFtl._page_address and, on the last
+ * MSB page, _mark_block_full.  1 with *addr set (new reference), 0
+ * when the SBQueue is empty. */
 static int
 flex_take_msb(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
               PyObject **addr)
@@ -2929,8 +2945,8 @@ lsb_complete_event(PyObject *ftl, PyObject *chip, PyObject *block)
     return 0;
 }
 
-/* The page-type choice of FlexFtl.next_op (PolicyManager.choose with
- * both page types available); borrowed reference or NULL. */
+/* PolicyManager.choose with both page types available, as
+ * FlexFtl._allocate_host_page calls it; borrowed reference or NULL. */
 static PyObject *
 flex_choose(Ctx *cx, PyObject *buffer)
 {
@@ -2964,8 +2980,8 @@ flex_choose(Ctx *cx, PyObject *buffer)
     return choice;
 }
 
-/* The write-blocked branch of FlexFtl.next_op: start (or promote) a
- * foreground collection and step it. */
+/* The write-blocked branch of BaseFtl._host_write_op: start (or
+ * promote) a foreground collection and step it. */
 static PyObject *
 flex_write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
                    long long cid)
@@ -3020,8 +3036,10 @@ error:
     return NULL;
 }
 
-/* FlexFtl.next_op: deferred parity invalidation, the base dispatch and
- * the open-coded host-write pipeline. */
+/* FlexFtl.next_op: deferred parity invalidation, then BaseFtl.next_op
+ * with _host_write_op, FlexFtl._allocate_host_page (_lsb_available,
+ * PolicyManager.choose, _take_msb and _take_lsb's installed-fast-block
+ * case), WriteBuffer.pop and MappingTable.map_write fused in. */
 static PyObject *
 flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
              PyObject *now)
@@ -3100,7 +3118,7 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
         out = Py_None;
         goto done;
     }
-    /* ---- _allocate_host_page ---- */
+    /* ---- FlexFtl._allocate_host_page: _lsb_available, choose ---- */
     if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
             || (fast = GA(manager, _fast)) == NULL
             || (sbqueue = GA(manager, _sbqueue)) == NULL

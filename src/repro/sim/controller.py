@@ -24,7 +24,6 @@ from repro.sim.queues import (
     REQUEST_FAILED,
     REQUEST_OK,
     REQUEST_RECOVERED,
-    BufferedWrite,
     Request,
     RequestKind,
     WriteBuffer,
@@ -34,7 +33,6 @@ from repro.sim.stats import FaultStats, SimStats
 # OpKind members hoisted to module level for the dispatch hot path
 _PROGRAM = OpKind.PROGRAM
 _READ = OpKind.READ
-_new = object.__new__
 
 
 class StorageController:
@@ -239,60 +237,6 @@ class StorageController:
             self._pumping = False
 
     def _drain_admissions(self) -> bool:
-        buffer = self.write_buffer
-        if buffer.coalesce:
-            return self._drain_admissions_general()
-        # Fast path with WriteBuffer.push and the per-page stats call
-        # open-coded: without coalescing a push can never go stale, and
-        # the clock is fixed for the whole drain, so every admitted
-        # page lands in the same bandwidth bucket.  Keep in sync with
-        # :meth:`repro.sim.queues.WriteBuffer.push` and
-        # :meth:`repro.sim.stats.SimStats.note_host_page_write`.
-        capacity = buffer.capacity
-        admissions = self._admissions
-        now = self.sim.now
-        fifo = buffer._fifo
-        resident = buffer._resident
-        live = buffer._live
-        pushed = 0
-        while admissions and live < capacity:
-            request = admissions[0]
-            remaining = request.pages_remaining
-            next_lpn = request.lpn + request.npages - remaining
-            while remaining > 0 and live < capacity:
-                # BufferedWrite built via object.__new__ + slot stores:
-                # skips the dataclass __init__ frame (per admitted page)
-                entry = _new(BufferedWrite)
-                entry.lpn = next_lpn
-                entry.enqueued_at = now
-                entry.request = request
-                fifo.append(entry)
-                resident[next_lpn] = resident.get(next_lpn, 0) + 1
-                next_lpn += 1
-                live += 1
-                remaining -= 1
-                pushed += 1
-            request.pages_remaining = remaining
-            if remaining > 0:
-                break
-            admissions.popleft()
-            # publish the level before the completion callback runs
-            # (hosts may submit follow-on requests from it)
-            buffer._live = live
-            self._complete_request(request)
-            live = buffer._live
-        buffer._live = live
-        if not pushed:
-            return False
-        stats = self.stats
-        stats.written_pages += pushed
-        bandwidth = stats.write_bandwidth
-        buckets = bandwidth._buckets
-        bucket = int(now / bandwidth.window)
-        buckets[bucket] = buckets.get(bucket, 0) + pushed * stats.page_size
-        return True
-
-    def _drain_admissions_general(self) -> bool:
         progress = False
         buffer = self.write_buffer
         capacity = buffer.capacity

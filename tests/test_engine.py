@@ -28,6 +28,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 from repro.sim.stats import SimStats
 from repro.workloads.benchmarks import build_workload
 
@@ -92,15 +93,15 @@ class TestRoundTrips:
         assert clone.geometry == config.geometry
 
     def test_run_result_round_trip(self):
-        streams = _small_streams()
-        result = run_workload(ftl_name="pageFTL", streams=streams,
+        scenario = StreamScenario.from_streams(_small_streams())
+        result = run_workload(ftl_name="pageFTL", scenario=scenario,
                               config=TEST_CONFIG)
         clone = RunResult.from_dict(result.to_dict())
         assert clone == result
 
     def test_run_result_dict_is_json_stable(self):
-        streams = _small_streams()
-        result = run_workload(ftl_name="pageFTL", streams=streams,
+        scenario = StreamScenario.from_streams(_small_streams())
+        result = run_workload(ftl_name="pageFTL", scenario=scenario,
                               config=TEST_CONFIG)
         payload = json.dumps(result.to_dict(), sort_keys=True)
         clone = RunResult.from_dict(json.loads(payload))
@@ -156,7 +157,8 @@ class TestEngine:
         streams = _small_streams()
         cell = workload_cell("pageFTL", streams, TEST_CONFIG)
         (engine_result,) = run_cells([cell])
-        direct = run_workload(ftl_name="pageFTL", streams=streams,
+        direct = run_workload(ftl_name="pageFTL",
+                              scenario=StreamScenario.from_streams(streams),
                               config=TEST_CONFIG)
         assert engine_result == direct
 

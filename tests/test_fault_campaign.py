@@ -22,6 +22,7 @@ from repro.experiments.runner import ExperimentConfig, experiment_span
 from repro.faults.plan import FaultPlan
 from repro.faults.runner import run_fault_workload
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 
 TEST_CONFIG = campaign_config(ExperimentConfig(
     geometry=NandGeometry(channels=2, chips_per_channel=2,
@@ -33,10 +34,11 @@ TEST_OPS = 600
 TEST_RATE = 0.01
 
 
-def _streams(seed=1):
+def _scenario(seed=1):
     span = experiment_span(TEST_CONFIG, utilization=0.6,
                           ftls=("pageFTL", "flexFTL"))
-    return build_campaign_streams(span, TEST_OPS, seed)
+    return StreamScenario.from_streams(
+        build_campaign_streams(span, TEST_OPS, seed))
 
 
 def _plan(seed=1):
@@ -47,7 +49,7 @@ def _plan(seed=1):
 class TestDeterminism:
     def test_same_seed_identical_stats(self):
         results = [
-            run_fault_workload(ftl_name="flexFTL", streams=_streams(),
+            run_fault_workload(ftl_name="flexFTL", scenario=_scenario(),
                                plan=_plan(), config=TEST_CONFIG)
             for _ in range(2)
         ]
@@ -57,16 +59,16 @@ class TestDeterminism:
 
     def test_different_seed_different_faults(self):
         base = run_fault_workload(ftl_name="flexFTL",
-                                  streams=_streams(), plan=_plan(1),
+                                  scenario=_scenario(), plan=_plan(1),
                                   config=TEST_CONFIG)
         other = run_fault_workload(ftl_name="flexFTL",
-                                   streams=_streams(), plan=_plan(2),
+                                   scenario=_scenario(), plan=_plan(2),
                                    config=TEST_CONFIG)
         assert base.to_dict() != other.to_dict()
 
     def test_zero_rate_attaches_zeroed_fault_stats(self):
         result = run_fault_workload(ftl_name="pageFTL",
-                                    streams=_streams(),
+                                    scenario=_scenario(),
                                     plan=FaultPlan(),
                                     config=TEST_CONFIG)
         faults = result.stats.faults
@@ -77,10 +79,10 @@ class TestDeterminism:
 
 class TestEngineEquivalence:
     def _cells(self):
-        streams = _streams()
+        scenario = _scenario().spec()
         return [
             Cell.make("fault_workload", label=f"{ftl}@{TEST_RATE:g}",
-                      ftl_name=ftl, streams=streams, plan=_plan(),
+                      ftl_name=ftl, scenario=scenario, plan=_plan(),
                       config=TEST_CONFIG)
             for ftl in ("pageFTL", "flexFTL")
         ]

@@ -3,20 +3,24 @@
 Every case runs one seeded simulation twice — on the pure-Python code
 (the loader's module handle swapped to None) and on the native core
 (:mod:`repro.sim._native`) — and requires byte identity of what the
-run produced: ``SimStats.to_dict()``, the FTL counters,
-``sim.processed`` and, where a case is small enough to step event by
+run produced: ``SimStats.to_dict()``, the FTL counters and placement
+state (mapping, cursors, policy alternation, write clock, buffered
+lpns), ``sim.processed`` and, where a case is small enough to step event by
 event, the event pop order.  Cases that must stay on Python (fault
 injection, a patched ``_execute``) also check that the coverage
 counters say so; the common cases check the core really ran.
 """
 
+import hashlib
 import json
 import pickle
 import random
 
 import pytest
 
+from repro.core.block_manager import TwoPhaseBlockManager
 from repro.core.flexftl import FlexFtl
+from repro.core.page_allocator import PolicyManager
 from repro.core.predictor import EwmaBurstPredictor
 from repro.experiments import fig8, runner
 from repro.experiments.engine import EngineOptions
@@ -64,6 +68,10 @@ GEOMETRY = NandGeometry(channels=2, chips_per_channel=2,
 def use_core(monkeypatch):
     """``use_core(True)`` selects the native core, ``use_core(False)``
     the pure-Python oracle, for the rest of the test."""
+    # The core binds its stock references on its first run: bind them
+    # now, before the test patches anything, whatever ran before it.
+    NATIVE.run(Simulator(), None, None)
+
     def select(native):
         monkeypatch.setattr(_native, "core", NATIVE if native else None)
         NATIVE.reset_coverage()
@@ -80,9 +88,30 @@ def both(use_core, run):
     return oracle, native, NATIVE.coverage()
 
 
+def placement(ftl):
+    """The FTL's placement state: the mapping (as a digest), the write
+    clock, the write buffer's FIFO and, on flexFTL, each chip's fast
+    cursor and SBQueue cursors and the policy's alternation."""
+    state = {
+        "l2p": hashlib.sha256(repr(ftl.mapping._l2p).encode()).hexdigest(),
+        "write_clock": ftl._write_clock,
+        "fifo": [entry.lpn for entry in ftl.write_buffer._fifo],
+    }
+    if isinstance(ftl, FlexFtl):
+        managers = ftl.managers
+        state["fast"] = [None if m._fast is None
+                         else (m._fast.block, m._fast._next)
+                         for m in managers]
+        state["sbqueue"] = [[(cursor.block, cursor._next)
+                             for cursor in m._sbqueue] for m in managers]
+        state["next_alternate"] = int(ftl.policy._next_alternate)
+    return state
+
+
 def outcome(sim, ftl, stats):
     """Everything a run produced, as canonical JSON text."""
     return json.dumps({"stats": stats.to_dict(), "counters": ftl.counters(),
+                       "placement": placement(ftl),
                        "processed": sim.processed, "now": sim.now,
                        "pending": sim.pending}, sort_keys=True)
 
@@ -548,23 +577,32 @@ def test_controller_subclass_and_bare_trace(use_core):
     assert all(recorder for _, recorder in native)
 
 
-def test_patched_class_keeps_python(use_core, monkeypatch):
-    """Wrapping a method the core replaces (as a profiler does) keeps
-    the whole run on Python."""
-    from repro.sim.controller import StorageController
-
-    stock = StorageController._on_op_done
+@pytest.mark.parametrize("owner,name", [
+    (StorageController, "_on_op_done"),
+    (PolicyManager, "choose"),
+    (TwoPhaseBlockManager, "take_msb"),
+], ids=["on_op_done", "choose", "take_msb"])
+def test_patched_class_keeps_python(use_core, monkeypatch, owner, name):
+    """Wrapping a method the core replaces, or one the Python form of a
+    replaced method calls (as a profiler does), keeps the whole run on
+    Python: the wrapper sees as many calls as on the oracle."""
+    stock = getattr(owner, name)
     calls = []
 
     def wrapped(self, *args):
-        calls.append(args[0])
+        calls.append(args)
         return stock(self, *args)
 
-    monkeypatch.setattr(StorageController, "_on_op_done", wrapped)
-    oracle, native, coverage = both(use_core, lambda: small_run(ops=60))
+    monkeypatch.setattr(owner, name, wrapped)
+
+    def run():
+        del calls[:]
+        return small_run(ops=60), len(calls)
+
+    oracle, native, coverage = both(use_core, run)
     assert native == oracle
     assert coverage["native"] == 0 and coverage["python"]["patched"] > 0
-    assert len(calls) > 0
+    assert oracle[1] > 0
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers the PR's contract points: phase-table validation, state-
 conditioned generation (sequential runs, re-reads, idle stretching),
 cross-process determinism of the seeded generator, spec round-trips
 through the engine's JSON encoding, the declared-vs-generated read-mix
-audit of every preset, the legacy ``streams=`` adapter (deprecation
-warning plus byte-identical results), and serial == parallel == cached
-equivalence of the ``scenario_grid`` experiment.
+audit of every preset, ``scenario=`` as the runners' only workload
+source, and serial == parallel == cached equivalence of the
+``scenario_grid`` experiment.
 """
 
 import json
@@ -20,7 +20,6 @@ import pytest
 from repro.experiments.engine import EngineOptions, ResultCache
 from repro.experiments.runner import (
     ExperimentConfig,
-    coerce_scenario,
     experiment_span,
     run_workload,
 )
@@ -300,31 +299,23 @@ class TestRunnerIntegration:
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         return build_workload("OLTP", span, total_ops=200, seed=1)
 
-    def test_legacy_streams_kwarg_warns(self):
-        with pytest.deprecated_call():
-            run_workload(ftl_name="pageFTL", streams=self._streams(),
-                         config=TEST_CONFIG)
+    def test_streams_kwarg_is_rejected(self):
+        from repro.faults.runner import (run_fault_workload,
+                                         run_powerloss_resume)
+        from repro.reliability.runner import run_physics_workload
 
-    def test_legacy_adapter_is_byte_identical(self):
-        streams = self._streams()
-        with pytest.deprecated_call():
-            legacy = run_workload(ftl_name="pageFTL", streams=streams,
-                                  config=TEST_CONFIG)
-        modern = run_workload(
-            ftl_name="pageFTL",
-            scenario=StreamScenario.from_streams(streams),
-            config=TEST_CONFIG)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == \
-            json.dumps(modern.to_dict(), sort_keys=True)
+        for runner in (run_workload, run_fault_workload,
+                       run_powerloss_resume, run_physics_workload):
+            with pytest.raises(TypeError, match="streams"):
+                runner(ftl_name="pageFTL", streams=self._streams(),
+                       config=TEST_CONFIG)
 
     def test_exactly_one_workload_source(self):
-        with pytest.raises(TypeError, match="exactly one"):
+        with pytest.raises(TypeError, match="scenario"):
             run_workload(ftl_name="pageFTL", config=TEST_CONFIG)
-        with pytest.raises(TypeError, match="exactly one"):
-            run_workload(ftl_name="pageFTL", streams=self._streams(),
-                         scenario=_tiny(), config=TEST_CONFIG)
-        with pytest.raises(TypeError):
-            coerce_scenario(None, None, "caller")
+        with pytest.raises(TypeError, match="must be a Scenario"):
+            run_workload(ftl_name="pageFTL", scenario=None,
+                         config=TEST_CONFIG)
 
     def test_generator_scenario_runs_end_to_end(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)

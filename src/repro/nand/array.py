@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.nand.block import ERASED_CODE, PROGRAMMED_CODE
 from repro.nand.chip import Chip
 from repro.nand.geometry import NandGeometry, PhysicalPageAddress
 from repro.nand.page_types import PageType, split_index
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
-
-_PTYPES = (PageType.LSB, PageType.MSB)
 
 
 class NandArray:
@@ -37,13 +34,6 @@ class NandArray:
         self.scheme = scheme
         self.store_data = store_data
         self.track_history = track_history
-        # geometry bounds cached as plain ints for the per-op inlined
-        # address validation below
-        g = self.geometry
-        self._channels = g.channels
-        self._cpc = g.chips_per_channel
-        self._bpc = g.blocks_per_chip
-        self._ppb = g.pages_per_block
         self.chips: List[Chip] = [
             Chip(
                 chip_id,
@@ -67,12 +57,9 @@ class NandArray:
 
     def is_programmed(self, addr: PhysicalPageAddress) -> bool:
         """Whether the page at ``addr`` currently holds programmed data."""
-        channel, chip, block, page = addr
-        if not (0 <= channel < self._channels and 0 <= chip < self._cpc
-                and 0 <= block < self._bpc and 0 <= page < self._ppb):
-            self.geometry.validate(addr)  # raises with the precise field
-        blk = self.chips[channel * self._cpc + chip].blocks[block]
-        return blk._states[page] == PROGRAMMED_CODE
+        chip = self.chip_at(addr)
+        wordline, ptype = split_index(addr.page)
+        return chip.blocks[addr.block].is_programmed(wordline, ptype)
 
     # ------------------------------------------------------------------
     # operations
@@ -80,63 +67,15 @@ class NandArray:
     def program(self, addr: PhysicalPageAddress,
                 data: Optional[bytes] = None) -> float:
         """Program the page at ``addr``; returns the array latency."""
-        # Inlined chip_at + split_index + geometry.validate + the body
-        # of Chip.program: this and ``read`` run once per simulated
-        # flash op and the call layers were measurable.  The slow paths
-        # delegate so errors carry the exact Chip/Block messages; keep
-        # in sync with :meth:`repro.nand.chip.Chip.program`.
-        channel, chip, block, page = addr
-        if not (0 <= channel < self._channels and 0 <= chip < self._cpc
-                and 0 <= block < self._bpc and 0 <= page < self._ppb):
-            self.geometry.validate(addr)
-        c = self.chips[channel * self._cpc + chip]
-        blk = c.blocks[block]
-        states = blk._states
-        half = page & 1
-        if half:  # MSB
-            legal = c._unconstrained or (
-                states[page - 1] == PROGRAMMED_CODE
-                and (page < 2 or states[page - 2] == PROGRAMMED_CODE)
-                and (page + 1 >= 2 * blk.wordlines
-                     or states[page + 1] == PROGRAMMED_CODE))
-        else:  # LSB
-            legal = c._unconstrained or (
-                (page == 0 or states[page - 2] == PROGRAMMED_CODE)
-                and (not c._fps or page < 4
-                     or states[page - 3] == PROGRAMMED_CODE))
-        if not legal or states[page] != ERASED_CODE:
-            return c.program(block, page >> 1, _PTYPES[half], data)
-        states[page] = PROGRAMMED_CODE
-        blk._used += 1
-        if blk._data is not None:
-            blk._data[page] = data
-        if blk.track_history:
-            blk.program_history.append(page)
-        if half:
-            c.msb_programs += 1
-        else:
-            c.lsb_programs += 1
-        duration = c._prog_times[half]
-        c.busy_time += duration
-        return duration
+        chip = self.chip_at(addr)
+        wordline, ptype = split_index(addr.page)
+        return chip.program(addr.block, wordline, ptype, data)
 
     def read(self, addr: PhysicalPageAddress) -> "tuple[Optional[bytes], float]":
         """Read the page at ``addr``; returns ``(payload, latency)``."""
-        channel, chip, block, page = addr
-        if not (0 <= channel < self._channels and 0 <= chip < self._cpc
-                and 0 <= block < self._bpc and 0 <= page < self._ppb):
-            self.geometry.validate(addr)
-        c = self.chips[channel * self._cpc + chip]
-        # Chip.read, inlined; the error path delegates so reads of
-        # erased/destroyed pages raise Block's exact ECC error.
-        blk = c.blocks[block]
-        if blk._states[page] != PROGRAMMED_CODE:
-            return c.read(block, page >> 1, _PTYPES[page & 1])
-        data = blk._data[page] if blk._data is not None else None
-        c.reads += 1
-        duration = c.timing.t_read
-        c.busy_time += duration
-        return data, duration
+        chip = self.chip_at(addr)
+        wordline, ptype = split_index(addr.page)
+        return chip.read(addr.block, wordline, ptype)
 
     def erase(self, channel: int, chip: int, block: int) -> float:
         """Erase a block; returns the erase latency."""

@@ -163,13 +163,24 @@ def describe() -> str:
 def coverage() -> Optional[Dict[str, Any]]:
     """Native-coverage counters since the last :func:`reset_coverage`.
 
-    ``{"native": events handled natively, "python": {reason: events
-    passed to Python}}``, or None on pure Python.  Reasons:
-    ``handler`` (no native implementation), ``patched`` (a class
-    method the core replaces was patched), ``subclass``,
-    ``injector``, ``execute`` (``_execute`` patched on the instance:
-    an OpLog, a test), ``args``.  Traced runs and runs with the
-    physics engine attached run natively.
+    None on pure Python, otherwise a dict of plain counts:
+
+    - ``native``: events handled natively;
+    - ``python``: ``{reason: events passed to Python}``.  Reasons:
+      ``handler`` (no native implementation), ``patched`` (a class
+      method the core replaces was patched), ``subclass``,
+      ``injector``, ``execute`` (``_execute`` patched on the instance:
+      an OpLog, a test), ``args``;
+    - ``callouts``: ``{layer: calls}``, the core's calls into Python
+      code by the layer called (``nand``, ``ftl``, ``host``,
+      ``scenario``, ``physics``, ``tracer``, ``kernel``,
+      ``controller``); value-type constructors are not counted;
+    - ``flushes``: ``{cause: count}``, the times the core dropped its
+      reference cache, by the layer whose callout caused it, or
+      ``handler`` for an event handled in Python.
+
+    The counts depend only on the run's inputs, never on the host's
+    speed.
     """
     return core.coverage() if core is not None else None
 
@@ -208,38 +219,51 @@ def _stock_refs() -> Dict[str, Any]:
     from repro.ftl.base import BaseFtl
     from repro.ftl.cursor import PhaseCursor
     from repro.ftl.mapping import MappingTable
+    from repro.nand.array import NandArray
+    from repro.nand.block import Block
+    from repro.nand.chip import Chip
     from repro.nand.geometry import NandGeometry, PhysicalPageAddress
     from repro.nand.page_types import PageType
     from repro.scenarios.host import StreamingClosedLoopHost
+    from repro.sim import kernel
     from repro.sim.controller import StorageController
     from repro.sim.host import ClosedLoopHost, StreamCompletion
-    from repro.sim.kernel import Simulator
+    from repro.sim.kernel import Event, Simulator
     from repro.sim.ops import FlashOp, OpKind
     from repro.sim.queues import BufferedWrite, Request, RequestKind, \
         WriteBuffer
     from repro.sim.stats import SimStats
 
     replaced = (
-        (Simulator, ("_push", "_advance_day")),
+        (Simulator, ("_push", "_advance_day", "schedule")),
         (StorageController, ("_on_op_done", "_pump", "_drain_admissions",
                              "_next_read_op", "_execute",
-                             "_complete_read_page", "submit",
-                             "_submit_read")),
+                             "_complete_read_page", "_complete_request",
+                             "submit", "_submit_read")),
         (FlexFtl, ("next_op", "_gc_step", "_allocate_gc_page",
                    "_allocate_host_page", "_lsb_available", "_take_msb",
-                   "wants_background_gc", "_predictor_wants_gc")),
+                   "_take_lsb",
+                   "wants_background_gc", "_predictor_wants_gc",
+                   "background_op", "_flush_parity_invalidations")),
         (BaseFtl, ("next_op", "_host_write_op", "_page_address",
-                   "wants_background_gc", "_bg_min_invalid")),
+                   "wants_background_gc", "_bg_min_invalid",
+                   "background_op", "_select_victim", "_victim_score")),
         (PolicyManager, ("choose", "_alternate", "_record")),
         (TwoPhaseBlockManager, ("take_msb", "has_slow_block",
                                 "free_lsb_pages")),
         (QuotaTracker, ("note_msb_write",)),
-        (MappingTable, ("lookup", "map_write")),
-        (NandGeometry, ("address_of",)),
+        (MappingTable, ("lookup", "map_write", "global_block_of",
+                        "invalid_count")),
+        (NandArray, ("program", "read", "erase", "is_programmed",
+                     "chip_at")),
+        (Chip, ("program", "read", "erase")),
+        (Block, ("program", "read", "erase", "is_programmed")),
+        (NandGeometry, ("address_of", "validate", "chip_id")),
         (WriteBuffer, ("contains", "pop", "push", "utilization")),
-        (SimStats, ("note_host_page_write",)),
-        (StreamingClosedLoopHost, ("_issue",)),
-        (ClosedLoopHost, ("_issue",)),
+        (SimStats, ("note_host_page_write", "note_request_complete")),
+        (StreamingClosedLoopHost, ("_issue", "_advance")),
+        (ClosedLoopHost, ("_issue", "_advance")),
+        (StreamCompletion, ("__init__", "__call__")),
     )
     stock = tuple((cls, name, _stock(cls, name))
                   for cls, names in replaced for name in names)
@@ -256,6 +280,12 @@ def _stock_refs() -> Dict[str, Any]:
         "PhysicalPageAddress": PhysicalPageAddress,
         "StreamingClosedLoopHost": StreamingClosedLoopHost,
         "ClosedLoopHost": ClosedLoopHost,
+        "NandArray": NandArray,
+        "Chip": Chip,
+        "Block": Block,
+        "SimStats": SimStats,
+        "Event": Event,
+        "StreamCompletion": StreamCompletion,
         "push": _stock(Simulator, "_push"),
         "on_op_done": _stock(StorageController, "_on_op_done"),
         "execute": _stock(StorageController, "_execute"),
@@ -267,13 +297,29 @@ def _stock_refs() -> Dict[str, Any]:
         "flex_wants_gc": _stock(FlexFtl, "wants_background_gc"),
         "bg_min_invalid": _stock(BaseFtl, "_bg_min_invalid"),
         "predictor_wants_gc": _stock(FlexFtl, "_predictor_wants_gc"),
+        "array_program": _stock(NandArray, "program"),
+        "array_read": _stock(NandArray, "read"),
+        "array_erase": _stock(NandArray, "erase"),
+        "is_programmed": _stock(NandArray, "is_programmed"),
+        "complete_request": _stock(StorageController, "_complete_request"),
+        "note_request_complete": _stock(SimStats, "note_request_complete"),
+        "stream_advance": _stock(StreamingClosedLoopHost, "_advance"),
+        "closed_advance": _stock(ClosedLoopHost, "_advance"),
+        "schedule": _stock(Simulator, "schedule"),
+        "check_schedule": kernel._check_schedule,
+        "select_victim": _stock(BaseFtl, "_select_victim"),
+        "victim_score": _stock(BaseFtl, "_victim_score"),
+        "global_block_of": _stock(MappingTable, "global_block_of"),
+        "invalid_count": _stock(MappingTable, "invalid_count"),
+        "base_background_op": _stock(BaseFtl, "background_op"),
+        "flex_background_op": _stock(FlexFtl, "background_op"),
+        "flush_parity": _stock(FlexFtl, "_flush_parity_invalidations"),
         "PROGRAM": OpKind.PROGRAM,
         "READ": OpKind.READ,
         "REQUEST_READ": RequestKind.READ,
         "LSB": PageType.LSB,
         "MSB": PageType.MSB,
         "PhaseCursor": PhaseCursor,
-        "StreamCompletion": StreamCompletion,
         "heappush": heapq.heappush,
         "heappop": heapq.heappop,
         "stock": stock,

@@ -9,10 +9,15 @@
  *     dispatch and _execute (repro.sim.controller.StorageController),
  *     with the tracer's op capture and the physics engine's hooks (the
  *     engine itself stays Python);
- *   - the FTLs' idle-time query, BaseFtl/FlexFtl.wants_background_gc
+ *   - the NAND array's program, read, erase and is_programmed
+ *     (repro.nand.array.NandArray -> Chip -> Block);
+ *   - the FTLs' idle-time query, BaseFtl/FlexFtl.wants_background_gc,
+ *     and the greedy victim scan, BaseFtl._select_victim
  *     (repro.ftl.base / repro.core.flexftl);
- *   - the closed-loop hosts' request issue (repro.sim.host /
- *     repro.scenarios.host), which is how requests reach submit();
+ *   - the closed-loop hosts' request issue and completion
+ *     (repro.sim.host / repro.scenarios.host): submit(), and
+ *     _complete_request -> SimStats.note_request_complete ->
+ *     StreamCompletion -> _advance -> Simulator.schedule;
  *   - flexFTL's host-write next_op, which fuses the general methods
  *     FlexFtl.next_op -> BaseFtl.next_op -> _host_write_op ->
  *     FlexFtl._allocate_host_page -> PolicyManager.choose / _take_msb
@@ -24,9 +29,10 @@
  * mirrors the plain general Python methods named in its comment, reads
  * and writes the very same Python objects in the same order, and calls
  * the Python method for every rare branch (fault work, fast-block
- * install, parity enqueue, victim selection, erase, errors).  NAND
- * operations always go through the controller's bound _array_*
- * methods.  The rule for the Python side: a method this file mirrors
+ * install, parity enqueue, GC begin and erase, errors).  NAND
+ * operations run natively only while the controller's bound _array_*
+ * methods are the stock NandArray ones, so a TLC array's overrides
+ * still apply.  The rule for the Python side: a method this file mirrors
  * is written plainly (the speed lives here), while a method this file
  * calls into may stay hand-inlined (FlexFtl._take_lsb).  Keep each
  * function in sync with the methods named in its comment; the
@@ -42,7 +48,8 @@
  * read from the Python objects when it is needed, so snapshots pickle
  * exactly as before.  The only static data are references to the stock
  * classes and functions (bound on the first run) and the coverage
- * counters.
+ * counters: events by how they ran, the core's calls into Python by the
+ * layer called, and reference-cache flushes by cause.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -96,7 +103,16 @@
     X(gc_threshold_blocks) X(bg_gc_min_invalid_fraction) X(predictor)   \
     X(_predictor_wants_gc) X(_bg_min_invalid) X(on_read) X(note_program) \
     X(note_erase) X(_note_physics_read) X(tag) X(sample) X(name) X(prev) \
-    X(stream)
+    X(stream) X(program) X(read) X(erase) X(blocks) X(_states)          \
+    X(_unconstrained) X(_fps) X(_used) X(_data) X(track_history)        \
+    X(program_history) X(lsb_programs) X(msb_programs) X(_prog_times)   \
+    X(busy_time) X(reads) X(timing) X(t_read) X(t_erase) X(erases)      \
+    X(pages) X(erase_count) X(channels) X(completion_hook)              \
+    X(completed_reads) X(completed_writes) X(read_latencies)            \
+    X(write_latencies) X(last_completion) X(_advance) X(_iters)         \
+    X(_pulled) X(_issue) X(schedule) X(_push) X(gc_policy)              \
+    X(full_blocks) X(invalid_count) X(_victim_score) X(greedy)          \
+    X(note_request_complete) X(completed_at)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
@@ -109,12 +125,18 @@ static int bound;
 
 static PyTypeObject *T_Simulator, *T_Controller, *T_FlexFtl, *T_Mapping,
     *T_WriteBuffer, *T_Geometry, *T_FlashOp, *T_BufferedWrite, *T_Request,
-    *T_PPA, *T_StreamHost, *T_ClosedHost;
+    *T_PPA, *T_StreamHost, *T_ClosedHost, *T_Array, *T_Chip, *T_Block,
+    *T_SimStats, *T_Event, *T_Completion;
 static PyObject *F_push, *F_on_op_done, *F_execute, *F_flex_next_op,
     *F_lookup, *F_stream_issue, *F_closed_issue, *F_base_wants_gc,
-    *F_flex_wants_gc, *F_bg_min_invalid, *F_predictor_wants_gc;
+    *F_flex_wants_gc, *F_bg_min_invalid, *F_predictor_wants_gc,
+    *F_array_program, *F_array_read, *F_array_erase, *F_is_programmed,
+    *F_complete_request, *F_note_request_complete, *F_stream_advance,
+    *F_closed_advance, *F_schedule, *F_check_schedule, *F_select_victim,
+    *F_victim_score, *F_global_block_of, *F_invalid_count,
+    *F_base_background_op, *F_flex_background_op, *F_flush_parity;
 static PyObject *K_PROGRAM, *K_READ, *R_READ, *P_LSB, *P_MSB;
-static PyObject *C_PhaseCursor, *C_StreamCompletion;
+static PyObject *C_PhaseCursor;
 static PyObject *heappush_fn, *heappop_fn;
 static PyObject *STOCK;           /* tuple of (type, name, function) */
 static PyObject *ZERO, *ONE, *KW_TENANT, *KW_SAMPLE, *KW_NOW;
@@ -126,8 +148,9 @@ static PyObject *EV_LSB_COMPLETE, *KW_LSB_COMPLETE, *EV_SCENARIO_PHASE,
 static Py_ssize_t OP_kind, OP_addr, OP_tag, OP_lpn, OP_on_complete,
     OP_data, OP_source;
 static Py_ssize_t RQ_time, RQ_kind, RQ_lpn, RQ_npages,
-    RQ_pages_remaining, RQ_submitted_at, RQ_on_complete;
+    RQ_pages_remaining, RQ_submitted_at, RQ_completed_at, RQ_on_complete;
 static Py_ssize_t BW_lpn, BW_enqueued_at, BW_request;
+static Py_ssize_t SC_host, SC_index, SC_think;
 
 /* ------------------------------------------------------------------ */
 /* coverage counters                                                  */
@@ -149,6 +172,33 @@ static const char *REASON_NAMES[N_REASONS] = {
 
 static unsigned long long cov_native;
 static unsigned long long cov_python[N_REASONS];
+
+/* The core's calls into Python code, by the layer called (value-type
+ * constructors such as Request() and PhaseCursor() are not counted),
+ * and the reference-cache flushes after them: per layer, plus
+ * F_HANDLER for events handled in Python. */
+enum {
+    L_NAND = 0,       /* the NAND array (a TLC or patched array, errors) */
+    L_FTL,            /* FTL methods, rare branches and allocation hooks */
+    L_HOST,           /* request completions and op callbacks */
+    L_SCENARIO,       /* a streaming host's op generator */
+    L_PHYSICS,        /* the physics engine's hooks */
+    L_TRACER,         /* trace events and the op ring's trim */
+    L_KERNEL,         /* the kernel's overflow heap, a non-stock push */
+    L_CONTROLLER,     /* a patched _execute, a non-stock write buffer */
+    N_LAYERS
+};
+#define F_HANDLER N_LAYERS
+
+static const char *LAYER_NAMES[N_LAYERS + 1] = {
+    "nand", "ftl", "host", "scenario", "physics", "tracer", "kernel",
+    "controller", "handler",
+};
+
+static unsigned long long cov_callouts[N_LAYERS];
+static unsigned long long cov_flushes[N_LAYERS + 1];
+
+#define CALLOUT(layer) (cov_callouts[layer]++)
 
 /* ------------------------------------------------------------------ */
 /* small helpers                                                      */
@@ -643,12 +693,15 @@ controller_reason(PyObject *ctrl)
  * whenever Python code that could rebind one of them has run: every
  * event handled in Python (a power cut's halt() and
  * reset_after_power_loss() rebind the kernel's and the controller's
- * lists), and every host-side callback reached from native code
- * (request and op completions, idle-time FTL work, a non-stock
- * idle-time query).  Device-internal Python code the core calls (the
- * NAND array, flexFTL's rare branches and allocation hooks, the GC
- * victim scan, the physics engine, the tracer) never rebinds them.
- * Mutable scalars (levels, counters, cursors) are never cached.
+ * lists), and every host-side callback reached from native code that
+ * the core does not mirror (a completion hook, a custom on_complete, an
+ * op callback, idle-time FTL work, a non-stock idle-time query).  The
+ * stock closed-loop completion runs here and keeps the cache; so does
+ * the device-internal Python code the core calls (a non-stock NAND
+ * array, flexFTL's rare branches and allocation hooks, a non-greedy
+ * victim scan, the physics engine, the tracer, a streaming host's op
+ * generator), which never rebinds them.  Mutable scalars (levels,
+ * counters, cursors) are never cached.
  */
 typedef struct {
     /* the running simulator and the current event's time (borrowed) */
@@ -667,11 +720,34 @@ typedef struct {
      * op_raw == NULL; the attached physics engine, or NULL */
     PyObject *op_raw, *physics;
     double op_limit;
-    /* ftl.wants_background_gc: GCQ_PYTHON, or a stock function evaluated
-     * natively over gc_chips (GCQ_UNKNOWN until the pump first asks);
-     * which of its helpers are stock */
-    int gcq, bg_min_stock, predictor_stock;
+    /* ftl.wants_background_gc and ftl.background_op: GCQ_PYTHON, or a
+     * stock BaseFtl/FlexFtl function evaluated natively over gc_chips
+     * (gcq is GCQ_UNKNOWN until the pump first asks); which of their
+     * helpers are stock */
+    int gcq, bgo, bg_min_stock, predictor_stock, flush_pi_stock;
     PyObject *gc_chips;
+    /* the NAND array: LAZY_YES when the bound _array_* methods are the
+     * stock NandArray ones (LAZY_UNKNOWN until an op first asks); its
+     * chips and geometry bounds */
+    int nand;
+    PyObject *n_chips;
+    long long n_channels, n_cpc, n_bpc, n_ppb;
+    /* request completion: LAZY_YES when _complete_request, the
+     * kernel's schedule and _push are stock; the last stats object and
+     * closed-loop host found stock (borrowed identity keys, held) */
+    int cq;
+    PyObject *c_stats, *c_host;
+    /* the victim scan: LAZY_YES when ftl._select_victim is BaseFtl's
+     * over an exact MappingTable; the FTL's chip states and mapping */
+    int vs;
+    PyObject *v_chips, *v_mapping;
+    long long v_bpc, v_ppb;
+    /* NandGeometry.address_of: the last geometry seen and its sizes */
+    PyObject *g_key;
+    long long g_total, g_ppb, g_bpc, g_cpc;
+    /* counts ctx_flush calls: the run loop re-reads the kernel's cursor
+     * only when an event flushed (a Python handler may have halted) */
+    unsigned long long epoch;
     /* the calendar kernel behind a stock _sim_push, or psim == NULL */
     PyObject *psim, *buckets, *key_heap, *far;
     double inv;
@@ -751,10 +827,26 @@ ctx_flush(Ctx *cx)
     Py_CLEAR(cx->op_raw);
     Py_CLEAR(cx->physics);
     Py_CLEAR(cx->gc_chips);
+    Py_CLEAR(cx->n_chips);
+    Py_CLEAR(cx->c_stats);
+    Py_CLEAR(cx->c_host);
+    Py_CLEAR(cx->v_chips);
+    Py_CLEAR(cx->v_mapping);
+    Py_CLEAR(cx->g_key);
+    cx->epoch++;
     ctx_flush_ftl(cx);
     ctx_flush_mapping(cx);
 }
 
+/* ctx_flush after a callout into ``layer`` (or F_HANDLER) */
+static void
+ctx_flush_after(Ctx *cx, int layer)
+{
+    cov_flushes[layer]++;
+    ctx_flush(cx);
+}
+
+enum { LAZY_UNKNOWN = -1, LAZY_NO, LAZY_YES };
 enum { GCQ_UNKNOWN = -1, GCQ_PYTHON, GCQ_BASE, GCQ_FLEX };
 
 /* Classify cx->ftl's wants_background_gc: the stock BaseFtl or FlexFtl
@@ -764,7 +856,8 @@ static int
 ctx_gc_query(Ctx *cx)
 {
     PyObject *ftl = cx->ftl, *v = GA(ftl, wants_background_gc);
-    int gcq = GCQ_PYTHON, bg_min = 0, predictor = 0;
+    int gcq = GCQ_PYTHON, bgo = GCQ_PYTHON, bg_min = 0, predictor = 0,
+        flush_pi = 0;
     if (v == NULL)
         return -1;
     if (PyMethod_Check(v) && PyMethod_GET_SELF(v) == ftl) {
@@ -774,17 +867,32 @@ ctx_gc_query(Ctx *cx)
             gcq = GCQ_FLEX;
     }
     Py_DECREF(v);
-    if (gcq != GCQ_PYTHON) {
+    if ((v = GA(ftl, background_op)) == NULL)
+        return -1;
+    if (PyMethod_Check(v) && PyMethod_GET_SELF(v) == ftl) {
+        if (PyMethod_GET_FUNCTION(v) == F_base_background_op)
+            bgo = GCQ_BASE;
+        else if (PyMethod_GET_FUNCTION(v) == F_flex_background_op)
+            bgo = GCQ_FLEX;
+    }
+    Py_DECREF(v);
+    if (gcq != GCQ_PYTHON || bgo != GCQ_PYTHON) {
         if ((bg_min = bound_to(ftl, S__bg_min_invalid, F_bg_min_invalid)) < 0
-                || (gcq == GCQ_FLEX
+                || ((gcq == GCQ_FLEX || bgo == GCQ_FLEX)
                     && (predictor = bound_to(ftl, S__predictor_wants_gc,
                                              F_predictor_wants_gc)) < 0)
+                || (bgo == GCQ_FLEX
+                    && (flush_pi = bound_to(ftl,
+                                            S__flush_parity_invalidations,
+                                            F_flush_parity)) < 0)
                 || (cx->gc_chips = GA(ftl, chips)) == NULL)
             return -1;
     }
     cx->gcq = gcq;
+    cx->bgo = bgo;
     cx->bg_min_stock = bg_min;
     cx->predictor_stock = predictor;
+    cx->flush_pi_stock = flush_pi;
     return 0;
 }
 
@@ -858,6 +966,9 @@ ctx_controller(Ctx *cx, PyObject *ctrl)
     else
         cx->physics = v;
     cx->gcq = GCQ_UNKNOWN;
+    cx->nand = LAZY_UNKNOWN;
+    cx->cq = LAZY_UNKNOWN;
+    cx->vs = LAZY_UNKNOWN;
     /* the calendar kernel's push */
     if (PyMethod_Check(cx->push) && PyMethod_GET_FUNCTION(cx->push) == F_push
             && Py_TYPE(PyMethod_GET_SELF(cx->push)) == T_Simulator) {
@@ -1066,6 +1177,7 @@ done:
 
 python:
     /* anything unusual: the Python method itself */
+    CALLOUT(L_KERNEL);
     v = PyObject_CallFunctionObjArgs(F_push, sim, entry, NULL);
     if (v == NULL)
         return -1;
@@ -1081,8 +1193,9 @@ sim_push(Ctx *cx, PyObject *entry)
     PyObject *res;
     if (cx->psim != NULL)
         return kernel_push(cx, entry);
+    CALLOUT(L_KERNEL);
     res = PyObject_CallOneArg(cx->push, entry);
-    ctx_flush(cx);
+    ctx_flush_after(cx, L_KERNEL);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -1104,6 +1217,7 @@ kernel_advance_day(PyObject *sim)
         return -1;
     if (!PyList_CheckExact(far) || PyList_GET_SIZE(far) != 0) {
         Py_DECREF(far);
+        CALLOUT(L_KERNEL);
         res = call_method0(sim, S__advance_day);
         if (res == NULL)
             return -1;
@@ -1160,10 +1274,411 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* NAND array                                                         */
+
+/* 1 when ``m`` is ``func`` bound to ``self`` */
+static inline int
+method_is(PyObject *m, PyObject *func, PyObject *self)
+{
+    return PyMethod_Check(m) && PyMethod_GET_FUNCTION(m) == func
+        && PyMethod_GET_SELF(m) == self;
+}
+
+/* Classify the controller's NAND calls: native when its bound
+ * _array_program, _array_read and _array_erase are the stock methods of
+ * an exact NandArray over an exact NandGeometry whose is_programmed is
+ * stock too.  A TLC array, a subclass or a patched binding keeps every
+ * NAND call on Python. */
+static int
+ctx_nand(Ctx *cx)
+{
+    PyObject *array = cx->array, *geometry;
+    int c;
+
+    cx->nand = LAZY_NO;
+    if (Py_TYPE(array) != T_Array
+            || !method_is(cx->program, F_array_program, array)
+            || !method_is(cx->read, F_array_read, array)
+            || !method_is(cx->erase, F_array_erase, array))
+        return 0;
+    if ((c = bound_to(array, S_is_programmed, F_is_programmed)) <= 0)
+        return c;
+    if ((geometry = GA(array, geometry)) == NULL)
+        return -1;
+    c = Py_TYPE(geometry) == T_Geometry;
+    if (c && (ga_ll(geometry, S_channels, &cx->n_channels) < 0
+              || ga_ll(geometry, S_chips_per_channel, &cx->n_cpc) < 0
+              || ga_ll(geometry, S_blocks_per_chip, &cx->n_bpc) < 0
+              || ga_ll(geometry, S_pages_per_block, &cx->n_ppb) < 0))
+        c = -1;
+    Py_DECREF(geometry);
+    if (c <= 0)
+        return c;
+    if ((cx->n_chips = GA(array, chips)) == NULL)
+        return -1;
+    if (PyList_CheckExact(cx->n_chips))
+        cx->nand = LAZY_YES;
+    else
+        Py_CLEAR(cx->n_chips);
+    return 0;
+}
+
+/* 1 when the NAND calls run natively, 0 when not, -1 on error */
+static int
+nand_native(Ctx *cx)
+{
+    if (cx->nand == LAZY_UNKNOWN && ctx_nand(cx) < 0)
+        return -1;
+    return cx->nand == LAZY_YES;
+}
+
+/* ``NandArray.chip_at(addr)`` and the addressed block for in-bounds
+ * int fields: 1 with *chip, *blk (new references) and *page set, 0
+ * when the address is not a plain in-bounds PhysicalPageAddress or the
+ * objects are not exact Chip/Block instances (the Python method then
+ * decides, raising its exact error), -1 on error. */
+static int
+nand_block(Ctx *cx, long long channel, long long chip, long long block,
+           PyObject **chip_out, PyObject **blk_out)
+{
+    PyObject *c, *blocks, *b;
+    long long cid;
+
+    if (!(0 <= channel && channel < cx->n_channels && 0 <= chip
+          && chip < cx->n_cpc && 0 <= block && block < cx->n_bpc))
+        return 0;
+    cid = channel * cx->n_cpc + chip;
+    if (cid >= PyList_GET_SIZE(cx->n_chips))
+        return 0;
+    c = PyList_GET_ITEM(cx->n_chips, (Py_ssize_t)cid);
+    if (Py_TYPE(c) != T_Chip)
+        return 0;
+    if ((blocks = GA(c, blocks)) == NULL)
+        return -1;
+    if (!PyList_CheckExact(blocks) || block >= PyList_GET_SIZE(blocks)
+            || Py_TYPE(b = PyList_GET_ITEM(blocks, (Py_ssize_t)block))
+               != T_Block) {
+        Py_DECREF(blocks);
+        return 0;
+    }
+    Py_INCREF(c);
+    Py_INCREF(b);
+    Py_DECREF(blocks);
+    *chip_out = c;
+    *blk_out = b;
+    return 1;
+}
+
+static int
+nand_locate(Ctx *cx, PyObject *addr, PyObject **chip, PyObject **blk,
+            long long *page)
+{
+    long long f[4];
+    int i;
+
+    if (Py_TYPE(addr) != T_PPA || PyTuple_GET_SIZE(addr) != 4)
+        return 0;
+    for (i = 0; i < 4; i++) {
+        PyObject *v = PyTuple_GET_ITEM(addr, i);
+        int overflow;
+        if (!PyLong_CheckExact(v))
+            return 0;
+        f[i] = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow)
+            return 0;
+    }
+    if (!(0 <= f[3] && f[3] < cx->n_ppb))
+        return 0;
+    *page = f[3];
+    return nand_block(cx, f[0], f[1], f[2], chip, blk);
+}
+
+/* ``blk._states`` when it is a bytearray holding ``page`` (new
+ * reference), Py_None when it is not (new reference), NULL on error */
+static PyObject *
+block_states(PyObject *blk, long long page)
+{
+    PyObject *states = GA(blk, _states);
+    if (states == NULL)
+        return NULL;
+    if (!PyByteArray_CheckExact(states)
+            || page >= PyByteArray_GET_SIZE(states)) {
+        Py_DECREF(states);
+        Py_RETURN_NONE;
+    }
+    return states;
+}
+
+/* ``o.name += delta`` on a float attribute (``busy_time``) */
+static int
+attr_add_float(PyObject *o, PyObject *name, double delta)
+{
+    PyObject *v = PyObject_GetAttr(o, name);
+    double x;
+    int r;
+    if (v == NULL)
+        return -1;
+    r = as_double(v, &x);
+    Py_DECREF(v);
+    if (r < 0 || (v = PyFloat_FromDouble(x + delta)) == NULL)
+        return -1;
+    r = PyObject_SetAttr(o, name, v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``chip.timing.<name>`` as a double */
+static int
+chip_timing(PyObject *chip, PyObject *name, double *out)
+{
+    PyObject *timing = GA(chip, timing), *v;
+    int r;
+    if (timing == NULL)
+        return -1;
+    v = PyObject_GetAttr(timing, name);
+    Py_DECREF(timing);
+    if (v == NULL)
+        return -1;
+    r = as_double(v, out);
+    Py_DECREF(v);
+    return r;
+}
+
+#define ERASED_CODE 0
+#define PROGRAMMED_CODE 1
+
+/* NandArray.program -> Chip.program (the sequence-scheme legality
+ * check) -> Block.program, for a legal program of an erased page: 1
+ * with *lat set, 0 when the Python method must run (an illegal or
+ * repeated program, which it raises with the exact message; anything
+ * unusual), -1 on error.  The updates run in Chip.program's order. */
+static int
+nand_program(Ctx *cx, PyObject *addr, PyObject *data, double *lat)
+{
+    PyObject *chip = NULL, *blk = NULL, *states = NULL, *v = NULL;
+    long long page, wl, wordlines;
+    const char *s;
+    int r = -1, c, half, legal;
+
+    if ((c = nand_locate(cx, addr, &chip, &blk, &page)) <= 0)
+        return c;
+    if ((states = block_states(blk, page)) == NULL
+            || ga_ll(blk, S_wordlines, &wordlines) < 0)
+        goto done;
+    if (states == Py_None || page >= 2 * wordlines) {
+        r = 0;
+        goto done;
+    }
+    s = PyByteArray_AS_STRING(states);
+    half = (int)(page & 1);
+    wl = page >> 1;
+    if ((v = GA(chip, _unconstrained)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (c)
+        legal = 1;
+    else if (half)
+        legal = s[page - 1] == PROGRAMMED_CODE
+            && (wl == 0 || s[page - 2] == PROGRAMMED_CODE)
+            && (wl + 1 >= wordlines || s[page + 1] == PROGRAMMED_CODE);
+    else {
+        legal = wl == 0 || s[page - 2] == PROGRAMMED_CODE;
+        if (legal) {
+            if ((v = GA(chip, _fps)) == NULL || (c = truthy(v)) < 0)
+                goto done;
+            Py_CLEAR(v);
+            legal = !c || wl < 2 || s[page - 3] == PROGRAMMED_CODE;
+        }
+    }
+    if (!legal || s[page] != ERASED_CODE) {
+        r = 0;
+        goto done;
+    }
+    PyByteArray_AS_STRING(states)[page] = PROGRAMMED_CODE;
+    if (attr_add(blk, S__used, 1) < 0 || (v = GA(blk, _data)) == NULL)
+        goto done;
+    if (v != Py_None && set_item(v, (Py_ssize_t)page, data) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if ((v = GA(blk, track_history)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (c) {
+        PyObject *index = PyLong_FromLongLong(page), *res;
+        if (index == NULL || (v = GA(blk, program_history)) == NULL) {
+            Py_XDECREF(index);
+            goto done;
+        }
+        if (PyList_CheckExact(v))
+            c = PyList_Append(v, index);
+        else {
+            res = call_method1(v, S_append, index);
+            c = res == NULL ? -1 : 0;
+            Py_XDECREF(res);
+        }
+        Py_DECREF(index);
+        Py_CLEAR(v);
+        if (c < 0)
+            goto done;
+    }
+    if (attr_add(chip, half ? S_msb_programs : S_lsb_programs, 1) < 0
+            || (v = GA(chip, _prog_times)) == NULL)
+        goto done;
+    {
+        PyObject *duration = item_at(v, half);
+        if (duration == NULL)
+            goto done;
+        c = as_double(duration, lat);
+        Py_DECREF(duration);
+        if (c < 0)
+            goto done;
+    }
+    if (attr_add_float(chip, S_busy_time, *lat) < 0)
+        goto done;
+    r = 1;
+done:
+    Py_XDECREF(chip);
+    Py_XDECREF(blk);
+    Py_XDECREF(states);
+    Py_XDECREF(v);
+    return r;
+}
+
+/* NandArray.read -> Chip.read of a programmed page (the payload is
+ * not needed): 1 with *lat set, 0 when the Python method must run (an
+ * erased or destroyed page, which it raises for), -1 on error */
+static int
+nand_read(Ctx *cx, PyObject *addr, double *lat)
+{
+    PyObject *chip = NULL, *blk = NULL, *states = NULL;
+    long long page;
+    int r = -1, c;
+
+    if ((c = nand_locate(cx, addr, &chip, &blk, &page)) <= 0)
+        return c;
+    if ((states = block_states(blk, page)) == NULL)
+        goto done;
+    if (states == Py_None
+            || PyByteArray_AS_STRING(states)[page] != PROGRAMMED_CODE) {
+        r = 0;
+        goto done;
+    }
+    if (attr_add(chip, S_reads, 1) < 0
+            || chip_timing(chip, S_t_read, lat) < 0
+            || attr_add_float(chip, S_busy_time, *lat) < 0)
+        goto done;
+    r = 1;
+done:
+    Py_XDECREF(chip);
+    Py_XDECREF(blk);
+    Py_XDECREF(states);
+    return r;
+}
+
+/* NandArray.is_programmed: 1 with *out set, 0 when the Python method
+ * must run, -1 on error */
+static int
+nand_is_programmed(Ctx *cx, PyObject *addr, int *out)
+{
+    PyObject *chip = NULL, *blk = NULL, *states;
+    long long page;
+    int c;
+
+    if ((c = nand_locate(cx, addr, &chip, &blk, &page)) <= 0)
+        return c;
+    states = block_states(blk, page);
+    Py_DECREF(chip);
+    Py_DECREF(blk);
+    if (states == NULL)
+        return -1;
+    c = states != Py_None;
+    if (c)
+        *out = PyByteArray_AS_STRING(states)[page] == PROGRAMMED_CODE;
+    Py_DECREF(states);
+    return c;
+}
+
+/* NandArray.erase -> Chip.erase -> Block.erase: 1 with *lat set, 0
+ * when the Python method must run, -1 on error */
+static int
+nand_erase(Ctx *cx, PyObject *channel, PyObject *chip_no, PyObject *block,
+           double *lat)
+{
+    PyObject *f[3] = {channel, chip_no, block}, *chip = NULL, *blk = NULL,
+        *v = NULL, *nv = NULL;
+    long long x[3], pages;
+    int r = -1, c, i;
+
+    for (i = 0; i < 3; i++) {
+        int overflow;
+        if (!PyLong_CheckExact(f[i]))
+            return 0;
+        x[i] = PyLong_AsLongLongAndOverflow(f[i], &overflow);
+        if (overflow)
+            return 0;
+    }
+    if (cx->n_ppb <= 0)
+        return 0;                   /* page 0 is out of range */
+    if ((c = nand_block(cx, x[0], x[1], x[2], &chip, &blk)) <= 0)
+        return c;
+    /* Block.erase */
+    if (ga_ll(blk, S_pages, &pages) < 0)
+        goto done;
+    if (pages < 0) {
+        r = 0;
+        goto done;
+    }
+    if ((nv = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)pages)) == NULL)
+        goto done;
+    memset(PyByteArray_AS_STRING(nv), 0, (size_t)pages);
+    if (SA(blk, _states, nv) < 0)
+        goto done;
+    Py_CLEAR(nv);
+    if ((v = GA(blk, _data)) == NULL)
+        goto done;
+    if (v != Py_None) {
+        if ((nv = PyList_New((Py_ssize_t)pages)) == NULL)
+            goto done;
+        for (i = 0; i < pages; i++) {
+            Py_INCREF(Py_None);
+            PyList_SET_ITEM(nv, i, Py_None);
+        }
+        if (SA(blk, _data, nv) < 0)
+            goto done;
+        Py_CLEAR(nv);
+    }
+    Py_CLEAR(v);
+    if ((v = GA(blk, program_history)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    if (c) {
+        if ((nv = PyList_New(0)) == NULL
+                || SA(blk, program_history, nv) < 0)
+            goto done;
+        Py_CLEAR(nv);
+    }
+    if (SA(blk, _used, ZERO) < 0 || attr_add(blk, S_erase_count, 1) < 0)
+        goto done;
+    /* Chip.erase */
+    if (attr_add(chip, S_erases, 1) < 0
+            || chip_timing(chip, S_t_erase, lat) < 0
+            || attr_add_float(chip, S_busy_time, *lat) < 0)
+        goto done;
+    r = 1;
+done:
+    Py_XDECREF(chip);
+    Py_XDECREF(blk);
+    Py_XDECREF(v);
+    Py_XDECREF(nv);
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
 /* controller                                                         */
 
 static PyObject *flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip,
                               long long cid, PyObject *now);
+static PyObject *flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip,
+                              long long cid);
 
 /* ``self.sim.now`` (new reference) */
 static PyObject *
@@ -1176,12 +1691,323 @@ ctx_now(Ctx *cx)
     return GA(cx->sim, now);
 }
 
-/* ``self._complete_request(request)``: host-side callbacks run */
+/* Classify the completion path: native when the controller's
+ * _complete_request is the stock method and the calendar kernel behind
+ * _sim_push, the controller's own simulator, has stock schedule and
+ * _push methods. */
+static int
+ctx_completion(Ctx *cx)
+{
+    int c;
+
+    cx->cq = LAZY_NO;
+    if (cx->psim == NULL || cx->psim != cx->sim)
+        return 0;
+    if ((c = bound_to(cx->ctrl, S__complete_request, F_complete_request)) <= 0
+            || (c = bound_to(cx->psim, S_schedule, F_schedule)) <= 0
+            || (c = bound_to(cx->psim, S__push, F_push)) <= 0)
+        return c;
+    cx->cq = LAZY_YES;
+    return 0;
+}
+
+/* 1 when ``stats`` is an exact SimStats whose note_request_complete is
+ * the stock method, 0 when not, -1 on error */
+static int
+stats_stock(Ctx *cx, PyObject *stats)
+{
+    int c;
+    if (stats == cx->c_stats)
+        return 1;
+    if (Py_TYPE(stats) != T_SimStats)
+        return 0;
+    if ((c = bound_to(stats, S_note_request_complete,
+                      F_note_request_complete)) <= 0)
+        return c;
+    Py_INCREF(stats);
+    Py_XSETREF(cx->c_stats, stats);
+    return 1;
+}
+
+/* The closed-loop host behind a StreamCompletion: 1 an exact
+ * StreamingClosedLoopHost, 2 an exact ClosedLoopHost, each with its
+ * stock _advance and scheduling on the controller's kernel; 0 anything
+ * else; -1 on error */
+static int
+host_stock(Ctx *cx, PyObject *host)
+{
+    PyObject *sim;
+    int kind, c;
+
+    if (Py_TYPE(host) == T_StreamHost)
+        kind = 1;
+    else if (Py_TYPE(host) == T_ClosedHost)
+        kind = 2;
+    else
+        return 0;
+    if (host == cx->c_host)
+        return kind;
+    if ((c = bound_to(host, S__advance, kind == 1 ? F_stream_advance
+                      : F_closed_advance)) <= 0)
+        return c;
+    if ((sim = GA(host, sim)) == NULL)
+        return -1;
+    c = sim == cx->psim;
+    Py_DECREF(sim);
+    if (!c)
+        return 0;
+    Py_INCREF(host);
+    Py_XSETREF(cx->c_host, host);
+    return kind;
+}
+
+/* SimStats.note_request_complete(request, now) */
+static int
+note_request_complete(PyObject *stats, PyObject *request, PyObject *now)
+{
+    PyObject *rtime = NULL, *kind = NULL, *latency = NULL, *list = NULL,
+        *last = NULL, *res;
+    int r = -1, c;
+
+    /* request.completed_at = time; latency = time - request.time */
+    if (RQ_SET(request, completed_at, now) < 0
+            || (rtime = RQ_GET(request, time)) == NULL)
+        goto done;
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(rtime))
+        latency = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                     - PyFloat_AS_DOUBLE(rtime));
+    else
+        latency = PyNumber_Subtract(now, rtime);
+    if (latency == NULL || (kind = RQ_GET(request, kind)) == NULL)
+        goto done;
+    if (kind == R_READ) {
+        if (attr_add(stats, S_completed_reads, 1) < 0
+                || (list = GA(stats, read_latencies)) == NULL)
+            goto done;
+    }
+    else if (attr_add(stats, S_completed_writes, 1) < 0
+             || (list = GA(stats, write_latencies)) == NULL)
+        goto done;
+    if (PyList_CheckExact(list)) {
+        if (PyList_Append(list, latency) < 0)
+            goto done;
+    }
+    else {
+        if ((res = call_method1(list, S_append, latency)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    /* if time > self.last_completion: self.last_completion = time */
+    if ((last = GA(stats, last_completion)) == NULL)
+        goto done;
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(last))
+        c = PyFloat_AS_DOUBLE(now) > PyFloat_AS_DOUBLE(last);
+    else if ((c = PyObject_RichCompareBool(now, last, Py_GT)) < 0)
+        goto done;
+    if (c && SA(stats, last_completion, now) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(rtime);
+    Py_XDECREF(kind);
+    Py_XDECREF(latency);
+    Py_XDECREF(list);
+    Py_XDECREF(last);
+    return r;
+}
+
+/* ``self.sim.schedule(think, self._issue, index)`` on the controller's
+ * calendar kernel: Simulator.schedule with _check_schedule, the same
+ * Event (seq, fn and args objects) pushed straight into the queue. */
+static int
+host_schedule(Ctx *cx, PyObject *host, PyObject *index, PyObject *think)
+{
+    PyObject *now = NULL, *time = NULL, *fn = NULL, *args = NULL,
+        *seq = NULL, *fields = NULL, *event = NULL;
+    double d;
+    int r = -1;
+
+    /* _check_schedule(delay): the Python function judges (and raises
+     * for) anything but a finite, non-negative float */
+    if (!(PyFloat_CheckExact(think) && (d = PyFloat_AS_DOUBLE(think)) >= 0.0
+          && !isinf(d))) {
+        PyObject *res;
+        CALLOUT(L_KERNEL);
+        res = PyObject_CallOneArg(F_check_schedule, think);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    if ((now = ctx_now(cx)) == NULL)
+        goto done;
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(think))
+        time = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                  + PyFloat_AS_DOUBLE(think));
+    else
+        time = PyNumber_Add(now, think);
+    /* Event((self.now + delay, priority, next(self._seq), fn, args,
+     *        False, self._cancelled)) */
+    if (time == NULL || (fn = GA(host, _issue)) == NULL
+            || (args = PyTuple_Pack(1, index)) == NULL
+            || (seq = next_of(cx->seq)) == NULL
+            || (fields = PyTuple_Pack(7, time, ZERO, seq, fn, args, Py_False,
+                                      cx->cancelled)) == NULL
+            || (event = PyObject_CallOneArg((PyObject *)T_Event, fields))
+               == NULL)
+        goto done;
+    r = kernel_push(cx, event);
+done:
+    Py_XDECREF(now);
+    Py_XDECREF(time);
+    Py_XDECREF(fn);
+    Py_XDECREF(args);
+    Py_XDECREF(seq);
+    Py_XDECREF(fields);
+    Py_XDECREF(event);
+    return r;
+}
+
+/* StreamingClosedLoopHost._advance (``streaming``) or
+ * ClosedLoopHost._advance */
+static int
+host_advance(Ctx *cx, PyObject *host, int streaming, PyObject *index,
+             PyObject *think)
+{
+    PyObject *v = NULL, *item = NULL, *nv = NULL, *nxt = NULL,
+        *stream = NULL;
+    int r = -1, more = 0;
+
+    if (streaming) {
+        /* nxt = next(self._iters[index], None) */
+        if ((v = GA(host, _iters)) == NULL
+                || (item = PyObject_GetItem(v, index)) == NULL)
+            goto done;
+        Py_CLEAR(v);
+        if (!PyIter_Check(item)) {
+            PyErr_Format(PyExc_TypeError, "'%.200s' object is not an iterator",
+                         Py_TYPE(item)->tp_name);
+            goto done;
+        }
+        CALLOUT(L_SCENARIO);
+        if ((nxt = (*Py_TYPE(item)->tp_iternext)(item)) == NULL) {
+            if (PyErr_Occurred()) {
+                if (!PyErr_ExceptionMatches(PyExc_StopIteration))
+                    goto done;
+                PyErr_Clear();
+            }
+            Py_INCREF(Py_None);
+            nxt = Py_None;
+        }
+        Py_CLEAR(item);
+        /* self._pulled[index] += 1; self._current[index] = nxt */
+        if ((v = GA(host, _pulled)) == NULL
+                || (item = PyObject_GetItem(v, index)) == NULL
+                || (nv = PyNumber_Add(item, ONE)) == NULL
+                || PyObject_SetItem(v, index, nv) < 0)
+            goto done;
+        Py_CLEAR(v);
+        if ((v = GA(host, _current)) == NULL
+                || PyObject_SetItem(v, index, nxt) < 0)
+            goto done;
+        more = nxt != Py_None;
+    }
+    else {
+        Py_ssize_t n;
+        /* self._cursor[index] += 1
+         * if self._cursor[index] < len(self.streams[index]) */
+        if ((v = GA(host, _cursor)) == NULL
+                || (item = PyObject_GetItem(v, index)) == NULL
+                || (nv = PyNumber_Add(item, ONE)) == NULL
+                || PyObject_SetItem(v, index, nv) < 0)
+            goto done;
+        Py_CLEAR(item);
+        Py_CLEAR(nv);
+        if ((item = PyObject_GetItem(v, index)) == NULL)
+            goto done;
+        Py_CLEAR(v);
+        if ((v = GA(host, streams)) == NULL
+                || (stream = PyObject_GetItem(v, index)) == NULL
+                || (n = PyObject_Length(stream)) < 0
+                || (nv = PyLong_FromSsize_t(n)) == NULL
+                || (more = int_lt(item, nv)) < 0)
+            goto done;
+    }
+    r = more ? host_schedule(cx, host, index, think) : 0;
+done:
+    Py_XDECREF(v);
+    Py_XDECREF(item);
+    Py_XDECREF(nv);
+    Py_XDECREF(nxt);
+    Py_XDECREF(stream);
+    return r;
+}
+
+/* StorageController._complete_request.  Natively when the controller's
+ * stats are a stock SimStats, no completion hook is set and the
+ * request's on_complete is None or a StreamCompletion of a stock
+ * closed-loop host: these run only stock code, so the cache stands.
+ * Anything else calls the Python method, and the cache is dropped. */
 static int
 complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
 {
-    PyObject *res = call_method1(ctrl, S__complete_request, request);
-    ctx_flush(cx);
+    PyObject *hook, *stats = NULL, *cb = NULL, *now = NULL, *host = NULL,
+        *res;
+    int r = -1, c, kind = 0;
+
+    if ((hook = GA(ctrl, completion_hook)) == NULL)
+        return -1;
+    c = hook == Py_None;
+    Py_DECREF(hook);
+    if (!c)
+        goto python;
+    if (NEED_CTRL(cx, ctrl) < 0)
+        return -1;
+    if (cx->cq == LAZY_UNKNOWN && ctx_completion(cx) < 0)
+        return -1;
+    if (cx->cq != LAZY_YES)
+        goto python;
+    if ((stats = GA(ctrl, stats)) == NULL || (c = stats_stock(cx, stats)) < 0
+            || (cb = RQ_GET(request, on_complete)) == NULL)
+        goto done;
+    if (!c)
+        goto python;
+    if (cb != Py_None) {
+        if (Py_TYPE(cb) != T_Completion || (host = SLOT(cb, SC_host)) == NULL
+                || SLOT(cb, SC_index) == NULL || SLOT(cb, SC_think) == NULL)
+            goto python;
+        Py_INCREF(host);
+        if ((kind = host_stock(cx, host)) < 0)
+            goto done;
+        if (!kind)
+            goto python;
+    }
+    if ((now = ctx_now(cx)) == NULL
+            || note_request_complete(stats, request, now) < 0)
+        goto done;
+    /* request.on_complete(request, now): StreamCompletion.__call__ */
+    if (kind) {
+        PyObject *index = SLOT(cb, SC_index), *think = SLOT(cb, SC_think);
+        Py_INCREF(index);
+        Py_INCREF(think);
+        r = host_advance(cx, host, kind == 1, index, think);
+        Py_DECREF(index);
+        Py_DECREF(think);
+    }
+    else
+        r = 0;
+done:
+    Py_XDECREF(stats);
+    Py_XDECREF(cb);
+    Py_XDECREF(now);
+    Py_XDECREF(host);
+    return r;
+python:
+    Py_XDECREF(stats);
+    Py_XDECREF(cb);
+    Py_XDECREF(host);
+    CALLOUT(L_HOST);
+    res = call_method1(ctrl, S__complete_request, request);
+    ctx_flush_after(cx, L_HOST);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -1213,12 +2039,16 @@ mapping_lookup(Ctx *cx, PyObject *mapping, PyObject *lpn)
 {
     long long l;
     PyObject *ppn;
-    if (Py_TYPE(mapping) != T_Mapping || !PyLong_CheckExact(lpn))
+    if (Py_TYPE(mapping) != T_Mapping || !PyLong_CheckExact(lpn)) {
+        CALLOUT(L_FTL);
         return call_method1(mapping, S_lookup, lpn);
+    }
     if (ctx_mapping(cx, mapping) < 0 || as_ll(lpn, &l) < 0)
         return NULL;
-    if (!(0 <= l && l < cx->logical))
+    if (!(0 <= l && l < cx->logical)) {
+        CALLOUT(L_FTL);
         return call_method1(mapping, S_lookup, lpn);  /* raises */
+    }
     if ((ppn = item_at(cx->l2p, (Py_ssize_t)l)) == NULL)
         return NULL;
     switch (int_lt(ppn, ZERO)) {
@@ -1242,6 +2072,7 @@ controller_lookup(Ctx *cx, PyObject *ctrl, PyObject *lpn)
     fn = cx->lookup;
     if (PyMethod_Check(fn) && PyMethod_GET_FUNCTION(fn) == F_lookup)
         return mapping_lookup(cx, PyMethod_GET_SELF(fn), lpn);
+    CALLOUT(L_FTL);
     return PyObject_CallOneArg(fn, lpn);
 }
 
@@ -1258,6 +2089,7 @@ buffer_contains(PyObject *buffer, PyObject *lpn)
         Py_DECREF(v);
         return r;
     }
+    CALLOUT(L_CONTROLLER);
     if ((v = call_method1(buffer, S_contains, lpn)) == NULL)
         return -1;
     r = truthy(v);
@@ -1265,23 +2097,38 @@ buffer_contains(PyObject *buffer, PyObject *lpn)
     return r;
 }
 
-/* NandGeometry.address_of (new reference) */
+/* NandGeometry.address_of (new reference).  The geometry is a frozen
+ * dataclass: its sizes are read once per cache load. */
 static PyObject *
-geometry_address_of(PyObject *geometry, PyObject *ppn_obj)
+geometry_address_of(Ctx *cx, PyObject *geometry, PyObject *ppn_obj)
 {
     long long ppn, total, ppb, bpc, cpc, bg, page, cid, block, channel, chip;
     PyObject *f[4] = {NULL, NULL, NULL, NULL}, *addr = NULL;
     int i;
-    if (Py_TYPE(geometry) != T_Geometry || !PyLong_CheckExact(ppn_obj))
+    if (Py_TYPE(geometry) != T_Geometry || !PyLong_CheckExact(ppn_obj)) {
+        CALLOUT(L_NAND);
         return call_method1(geometry, S_address_of, ppn_obj);
-    if (as_ll(ppn_obj, &ppn) < 0 || ga_ll(geometry, S_total_pages, &total) < 0)
+    }
+    if (geometry != cx->g_key) {
+        Py_CLEAR(cx->g_key);
+        if (ga_ll(geometry, S_total_pages, &cx->g_total) < 0
+                || ga_ll(geometry, S_pages_per_block, &cx->g_ppb) < 0
+                || ga_ll(geometry, S_blocks_per_chip, &cx->g_bpc) < 0
+                || ga_ll(geometry, S_chips_per_channel, &cx->g_cpc) < 0)
+            return NULL;
+        Py_INCREF(geometry);
+        cx->g_key = geometry;
+    }
+    total = cx->g_total;
+    ppb = cx->g_ppb;
+    bpc = cx->g_bpc;
+    cpc = cx->g_cpc;
+    if (as_ll(ppn_obj, &ppn) < 0)
         return NULL;
-    if (!(0 <= ppn && ppn < total))
+    if (!(0 <= ppn && ppn < total)) {
+        CALLOUT(L_NAND);
         return call_method1(geometry, S_address_of, ppn_obj);  /* raises */
-    if (ga_ll(geometry, S_pages_per_block, &ppb) < 0
-            || ga_ll(geometry, S_blocks_per_chip, &bpc) < 0
-            || ga_ll(geometry, S_chips_per_channel, &cpc) < 0)
-        return NULL;
+    }
     bg = ppn / ppb;
     page = ppn - bg * ppb;
     cid = bg / bpc;
@@ -1364,15 +2211,23 @@ next_read_op(Ctx *cx, PyObject *ctrl, long long cid, PyObject **op,
             skip = p / cx->ppc != cid;
         }
         if (!skip) {
-            if ((addr = geometry_address_of(cx->geometry, ppn)) == NULL)
+            int programmed = 0;
+            if ((addr = geometry_address_of(cx, cx->geometry, ppn)) == NULL
+                    || (skip = nand_native(cx)) < 0
+                    || (skip && (skip = nand_is_programmed(cx, addr,
+                                                           &programmed)) < 0))
                 goto done;
-            if ((res = call_method1(cx->array, S_is_programmed, addr)) == NULL)
-                goto done;
-            skip = truthy(res);
-            Py_DECREF(res);
-            if (skip < 0)
-                goto done;
-            skip = !skip;
+            if (!skip) {
+                CALLOUT(L_NAND);
+                if ((res = call_method1(cx->array, S_is_programmed, addr))
+                        == NULL)
+                    goto done;
+                programmed = truthy(res);
+                Py_DECREF(res);
+                if (programmed < 0)
+                    goto done;
+            }
+            skip = !programmed;
         }
         if (skip) {
             /* superseded, relocated, or its program is still in flight */
@@ -1458,6 +2313,7 @@ trace_op(Ctx *cx, PyObject *ctrl, PyObject *now, PyObject *done,
         PyObject *trace = GA(ctrl, _trace);
         if (trace == NULL)
             goto done;
+        CALLOUT(L_TRACER);
         res = call_method0(trace, S__trim);
         Py_DECREF(trace);
         if (res == NULL)
@@ -1482,15 +2338,17 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
         *args = NULL, *f0 = NULL, *f1 = NULL, *f2 = NULL, *done_t = NULL;
     double now_d, start_d, lat_d, total;
     Py_ssize_t i;
-    int r = -1;
+    int r = -1, c, native;
 
     if (NEED_CTRL(cx, ctrl) < 0)
         return -1;
     if (cx->reason == WHY_EXECUTE) {
         /* patched meanwhile (a callback installed a tracer): call it */
-        PyObject *res = PyObject_CallMethodObjArgs(ctrl, S__execute, chip, op,
-                                                   rreq, NULL);
-        ctx_flush(cx);
+        PyObject *res;
+        CALLOUT(L_CONTROLLER);
+        res = PyObject_CallMethodObjArgs(ctrl, S__execute, chip, op, rreq,
+                                         NULL);
+        ctx_flush_after(cx, L_CONTROLLER);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
@@ -1518,24 +2376,33 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
         }
         Py_DECREF(cf);
         Py_CLEAR(tmp);
-        if ((addr = OP_GET(op, addr)) == NULL)
+        if ((addr = OP_GET(op, addr)) == NULL
+                || (native = nand_native(cx)) < 0)
             goto done;
         if (kind == K_PROGRAM) {
             PyObject *data = OP_GET(op, data), *fn;
             PyObject *cargs[2];
             if (data == NULL)
                 goto done;
-            fn = CX(cx, program);
-            cargs[0] = addr;
-            cargs[1] = data;
-            lat = PyObject_Vectorcall(fn, cargs, 2, NULL);
-            Py_DECREF(fn);
+            c = native ? nand_program(cx, addr, data, &lat_d) : 0;
+            if (c == 0) {
+                CALLOUT(L_NAND);
+                fn = CX(cx, program);
+                cargs[0] = addr;
+                cargs[1] = data;
+                lat = PyObject_Vectorcall(fn, cargs, 2, NULL);
+                Py_DECREF(fn);
+                c = lat == NULL || as_double(lat, &lat_d) < 0 ? -1 : 1;
+            }
             Py_DECREF(data);
-            if (lat == NULL)
+            if (c < 0)
                 goto done;
         }
-        else {
+        else if ((c = native ? nand_read(cx, addr, &lat_d) : 0) < 0)
+            goto done;
+        else if (c == 0) {
             PyObject *pair, *fn = CX(cx, read);
+            CALLOUT(L_NAND);
             pair = PyObject_CallOneArg(fn, addr);
             Py_DECREF(fn);
             if (pair == NULL)
@@ -1554,9 +2421,9 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
             lat = PySequence_Fast_GET_ITEM(tmp, 1);
             Py_INCREF(lat);
             Py_CLEAR(tmp);
+            if (as_double(lat, &lat_d) < 0)
+                goto done;
         }
-        if (as_double(lat, &lat_d) < 0)
-            goto done;
         total = (start_d - now_d) + tt + lat_d;
     }
     else {
@@ -1565,16 +2432,21 @@ controller_execute(Ctx *cx, PyObject *ctrl, PyObject *chip, long long cid,
             goto done;
         if ((f0 = ppa_field(addr, 0, S_channel)) == NULL
                 || (f1 = ppa_field(addr, 1, S_chip)) == NULL
-                || (f2 = ppa_field(addr, 2, S_block)) == NULL)
+                || (f2 = ppa_field(addr, 2, S_block)) == NULL
+                || (native = nand_native(cx)) < 0
+                || (c = native ? nand_erase(cx, f0, f1, f2, &total) : 0) < 0)
             goto done;
-        fn = CX(cx, erase);
-        cargs[0] = f0;
-        cargs[1] = f1;
-        cargs[2] = f2;
-        lat = PyObject_Vectorcall(fn, cargs, 3, NULL);
-        Py_DECREF(fn);
-        if (lat == NULL || as_double(lat, &total) < 0)
-            goto done;
+        if (c == 0) {
+            CALLOUT(L_NAND);
+            fn = CX(cx, erase);
+            cargs[0] = f0;
+            cargs[1] = f1;
+            cargs[2] = f2;
+            lat = PyObject_Vectorcall(fn, cargs, 3, NULL);
+            Py_DECREF(fn);
+            if (lat == NULL || as_double(lat, &total) < 0)
+                goto done;
+        }
     }
     /* NAND calls never rebind the controller: the cache stands */
     /* done = now + total */
@@ -1639,31 +2511,79 @@ done:
     return r;
 }
 
+/* ``stats.note_host_page_write(now)`` ``pages`` times: the page count
+ * and the clock's bandwidth bucket, added once */
+static int
+note_host_pages(PyObject *stats, PyObject *now, long long pages)
+{
+    PyObject *bandwidth = NULL, *buckets = NULL, *key = NULL, *v = NULL,
+        *count;
+    long long page_size, n = 0;
+    double now_d, window;
+    int r = -1, c;
+
+    if (attr_add(stats, S_written_pages, pages) < 0
+            || (bandwidth = GA(stats, write_bandwidth)) == NULL
+            || (buckets = GA(bandwidth, _buckets)) == NULL
+            || (v = GA(bandwidth, window)) == NULL
+            || as_double(v, &window) < 0 || as_double(now, &now_d) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if ((key = PyLong_FromDouble(now_d / window)) == NULL
+            || ga_ll(stats, S_page_size, &page_size) < 0)
+        goto done;
+    if (PyDict_CheckExact(buckets)) {
+        count = PyDict_GetItemWithError(buckets, key);
+        if (count == NULL && PyErr_Occurred())
+            goto done;
+        if (count != NULL && as_ll(count, &n) < 0)
+            goto done;
+    }
+    else {
+        if ((count = PyObject_CallMethod(buckets, "get", "OO", key,
+                                         ZERO)) == NULL)
+            goto done;
+        c = as_ll(count, &n);
+        Py_DECREF(count);
+        if (c < 0)
+            goto done;
+    }
+    if ((v = PyLong_FromLongLong(n + pages * page_size)) == NULL
+            || PyObject_SetItem(buckets, key, v) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(bandwidth);
+    Py_XDECREF(buckets);
+    Py_XDECREF(key);
+    Py_XDECREF(v);
+    return r;
+}
+
 /* StorageController._drain_admissions with WriteBuffer.push and
  * SimStats.note_host_page_write folded in, for a non-coalescing stock
  * buffer (anything else calls the Python method).  The clock is fixed
- * for the whole drain, so the page count and the bandwidth bucket are
- * added once per drain instead of once per page: same end state, and
- * nothing reads them from a completion callback mid-drain.
+ * for the whole drain, so the pages pushed for a request are noted in
+ * one step, before its completion runs: every completion sees the
+ * stats and the buffer level the Python loop leaves.
  * 1 = progress, 0 = none. */
 static int
 controller_drain(Ctx *cx, PyObject *ctrl)
 {
     PyObject *buffer, *res, *admissions = NULL, *now = NULL, *fifo = NULL,
-        *resident = NULL, *request = NULL, *stats = NULL, *bandwidth = NULL,
-        *buckets = NULL, *key = NULL, *v = NULL;
-    long long capacity, live, pushed = 0, remaining, lpn0, npages, next_lpn,
-        page_size;
-    double now_d, window;
-    int r = -1, c;
+        *resident = NULL, *request = NULL, *stats = NULL, *key = NULL,
+        *v = NULL;
+    long long capacity, live, pushed = 0, remaining, lpn0, npages, next_lpn;
+    int r = -1, c, progress = 0;
 
     if (NEED_CTRL(cx, ctrl) < 0)
         return -1;
     buffer = CX(cx, buffer);
     if (cx->fifo == NULL) {
         /* another buffer class, or coalescing: the Python method */
+        CALLOUT(L_CONTROLLER);
         res = call_method0(ctrl, S__drain_admissions);
-        ctx_flush(cx);
+        ctx_flush_after(cx, L_CONTROLLER);
         Py_DECREF(buffer);
         if (res == NULL)
             return -1;
@@ -1675,7 +2595,8 @@ controller_drain(Ctx *cx, PyObject *ctrl)
     admissions = CX(cx, admissions);
     fifo = CX(cx, fifo);
     resident = CX(cx, resident);
-    if ((now = ctx_now(cx)) == NULL)
+    /* note_page = self.stats.note_host_page_write, bound once */
+    if ((now = ctx_now(cx)) == NULL || (stats = GA(ctrl, stats)) == NULL)
         goto done;
     if (ga_ll(buffer, S__live, &live) < 0)
         goto done;
@@ -1737,6 +2658,7 @@ controller_drain(Ctx *cx, PyObject *ctrl)
             live++;
             remaining--;
             pushed++;
+            progress = 1;
         }
         if (rq_set_ll(request, RQ_pages_remaining, S_pages_remaining,
                       remaining) < 0)
@@ -1746,58 +2668,21 @@ controller_drain(Ctx *cx, PyObject *ctrl)
         if ((res = call_method0(admissions, S_popleft)) == NULL)
             goto done;
         Py_DECREF(res);
-        /* publish the level before the completion callback runs */
+        /* publish the level and the pages before the completion runs */
         if (sa_ll(buffer, S__live, live) < 0
-                || complete_request(cx, ctrl, request) < 0)
+                || (pushed && note_host_pages(stats, now, pushed) < 0))
+            goto done;
+        pushed = 0;
+        if (complete_request(cx, ctrl, request) < 0)
             goto done;
         Py_CLEAR(request);
         if (ga_ll(buffer, S__live, &live) < 0)
             goto done;
     }
-    if (sa_ll(buffer, S__live, live) < 0)
+    if (sa_ll(buffer, S__live, live) < 0
+            || (pushed && note_host_pages(stats, now, pushed) < 0))
         goto done;
-    if (!pushed) {
-        r = 0;
-        goto done;
-    }
-    if ((stats = GA(ctrl, stats)) == NULL
-            || attr_add(stats, S_written_pages, pushed) < 0)
-        goto done;
-    if ((bandwidth = GA(stats, write_bandwidth)) == NULL
-            || (buckets = GA(bandwidth, _buckets)) == NULL)
-        goto done;
-    if ((v = GA(bandwidth, window)) == NULL || as_double(v, &window) < 0
-            || as_double(now, &now_d) < 0)
-        goto done;
-    Py_CLEAR(v);
-    if ((key = PyLong_FromDouble(now_d / window)) == NULL)
-        goto done;
-    if (ga_ll(stats, S_page_size, &page_size) < 0)
-        goto done;
-    {
-        PyObject *count;
-        long long n = 0;
-        if (PyDict_CheckExact(buckets)) {
-            count = PyDict_GetItemWithError(buckets, key);
-            if (count == NULL && PyErr_Occurred())
-                goto done;
-            if (count != NULL && as_ll(count, &n) < 0)
-                goto done;
-        }
-        else {
-            if ((count = PyObject_CallMethod(buckets, "get", "OO", key,
-                                             ZERO)) == NULL)
-                goto done;
-            c = as_ll(count, &n);
-            Py_DECREF(count);
-            if (c < 0)
-                goto done;
-        }
-        if ((v = PyLong_FromLongLong(n + pushed * page_size)) == NULL
-                || PyObject_SetItem(buckets, key, v) < 0)
-            goto done;
-    }
-    r = 1;
+    r = progress;
 done:
     Py_DECREF(buffer);
     Py_XDECREF(admissions);
@@ -1806,8 +2691,6 @@ done:
     Py_XDECREF(resident);
     Py_XDECREF(request);
     Py_XDECREF(stats);
-    Py_XDECREF(bandwidth);
-    Py_XDECREF(buckets);
     Py_XDECREF(key);
     Py_XDECREF(v);
     return r;
@@ -1824,6 +2707,7 @@ call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
         return NULL;
     if (cx->flex && next_op == cx->next_op)
         return flex_next_op(cx, PyMethod_GET_SELF(next_op), chip, cid, now);
+    CALLOUT(L_FTL);
     return PyObject_Vectorcall(next_op, args, 2, NULL);
 }
 
@@ -1836,8 +2720,10 @@ bg_min_invalid(Ctx *cx, PyObject *ftl)
     double fraction, x;
     int c;
 
-    if (!cx->bg_min_stock)
+    if (!cx->bg_min_stock) {
+        CALLOUT(L_FTL);
         return call_method0(ftl, S__bg_min_invalid);
+    }
     /* max(1, int(self.geometry.pages_per_block
      *            * self.config.bg_gc_min_invalid_fraction)) */
     if ((geometry = GA(ftl, geometry)) == NULL)
@@ -1855,10 +2741,176 @@ bg_min_invalid(Ctx *cx, PyObject *ftl)
     if (c < 0)
         return NULL;
     x = (double)ppb * fraction;
-    if (!(fabs(x) < 9.0e18))
+    if (!(fabs(x) < 9.0e18)) {
+        CALLOUT(L_FTL);
         return call_method0(ftl, S__bg_min_invalid);  /* raises, or huge */
+    }
     n = (long long)x;               /* int() truncates toward zero */
     return PyLong_FromLongLong(n > 1 ? n : 1);
+}
+
+/* Classify ftl._select_victim: native when it is BaseFtl's stock
+ * method with its stock _victim_score, over an exact MappingTable whose
+ * global_block_of and invalid_count are stock.  slcFTL's override, a
+ * subclass's or an instance patch is called. */
+static int
+ctx_victim(Ctx *cx)
+{
+    PyObject *ftl = cx->ftl, *mapping = NULL, *geometry = NULL;
+    int c;
+
+    cx->vs = LAZY_NO;
+    if ((c = bound_to(ftl, S__select_victim, F_select_victim)) <= 0
+            || (c = bound_to(ftl, S__victim_score, F_victim_score)) <= 0)
+        return c;
+    if ((mapping = GA(ftl, mapping)) == NULL)
+        return -1;
+    c = 0;
+    if (Py_TYPE(mapping) == T_Mapping
+            && (c = bound_to(mapping, S_global_block_of,
+                             F_global_block_of)) > 0
+            && (c = bound_to(mapping, S_invalid_count, F_invalid_count)) > 0) {
+        c = -1;
+        if ((geometry = GA(mapping, geometry)) != NULL
+                && ga_ll(geometry, S_blocks_per_chip, &cx->v_bpc) == 0
+                && ga_ll(geometry, S_pages_per_block, &cx->v_ppb) == 0
+                && (cx->v_chips = GA(ftl, chips)) != NULL) {
+            Py_INCREF(mapping);
+            cx->v_mapping = mapping;
+            cx->vs = LAZY_YES;
+            c = 0;
+        }
+    }
+    Py_DECREF(mapping);
+    Py_XDECREF(geometry);
+    return c < 0 ? -1 : 0;
+}
+
+/* The greedy scan of BaseFtl._select_victim over chip ``cid``: 1 with
+ * *victim set (a new reference: the block, or None), 0 when the Python
+ * method must run, -1 on error.  It iterates state.full_blocks in the
+ * set's own order, so ties break exactly as in Python. */
+static int
+greedy_victim(Ctx *cx, long long cid, long long min_invalid,
+              PyObject **victim)
+{
+    PyObject *state = NULL, *blocks = NULL, *valid = NULL, *it = NULL,
+        *block, *best = NULL;
+    double best_score = -INFINITY;
+    int r = -1;
+
+    if ((state = item_at(cx->v_chips, (Py_ssize_t)cid)) == NULL
+            || (blocks = GA(state, full_blocks)) == NULL
+            || (valid = GA(cx->v_mapping, _valid)) == NULL)
+        goto done;
+    r = 0;
+    if (!PySet_CheckExact(blocks) || !PyList_CheckExact(valid))
+        goto done;
+    r = -1;
+    if ((it = PyObject_GetIter(blocks)) == NULL)
+        goto done;
+    while ((block = PyIter_Next(it)) != NULL) {
+        long long b, gb, count;
+        int overflow;
+        PyObject *v;
+        /* gb = self.mapping.global_block_of(chip_id, block)
+         * invalid = self.mapping.invalid_count(gb) */
+        b = PyLong_CheckExact(block)
+            ? PyLong_AsLongLongAndOverflow(block, &overflow) : 0;
+        if (!PyLong_CheckExact(block) || overflow) {
+            Py_DECREF(block);
+            r = 0;
+            goto done;
+        }
+        gb = cid * cx->v_bpc + b;
+        if (!(0 <= gb && gb < PyList_GET_SIZE(valid))
+                || !PyLong_CheckExact(v = PyList_GET_ITEM(valid,
+                                                          (Py_ssize_t)gb))) {
+            Py_DECREF(block);
+            r = 0;
+            goto done;
+        }
+        count = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow) {
+            Py_DECREF(block);
+            r = 0;
+            goto done;
+        }
+        /* if invalid < min_invalid: continue
+         * score = float(invalid)  (greedy) */
+        if (cx->v_ppb - count >= min_invalid
+                && (double)(cx->v_ppb - count) > best_score) {
+            best_score = (double)(cx->v_ppb - count);
+            Py_XSETREF(best, block);
+        }
+        else
+            Py_DECREF(block);
+    }
+    if (PyErr_Occurred())
+        goto done;
+    if (best == NULL) {
+        Py_INCREF(Py_None);
+        best = Py_None;
+    }
+    *victim = best;
+    best = NULL;
+    r = 1;
+done:
+    Py_XDECREF(state);
+    Py_XDECREF(blocks);
+    Py_XDECREF(valid);
+    Py_XDECREF(it);
+    Py_XDECREF(best);
+    return r;
+}
+
+/* ``ftl._select_victim(chip, min_invalid)`` (``min_invalid`` NULL: the
+ * default, 1): the greedy scan natively when the stock method applies
+ * with gc_policy "greedy", the Python call otherwise.  New reference. */
+static PyObject *
+select_victim(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+              PyObject *min_invalid)
+{
+    PyObject *config, *policy, *victim;
+    long long floor = 1;
+    int c, overflow = 0;
+
+    if (ftl != cx->ftl)
+        goto python;
+    if (cx->vs == LAZY_UNKNOWN && ctx_victim(cx) < 0)
+        return NULL;
+    if (cx->vs != LAZY_YES)
+        goto python;
+    if (min_invalid != NULL) {
+        if (!PyLong_CheckExact(min_invalid))
+            goto python;
+        floor = PyLong_AsLongLongAndOverflow(min_invalid, &overflow);
+        if (overflow)
+            goto python;
+    }
+    /* self.config.gc_policy == "greedy" */
+    if ((config = GA(ftl, config)) == NULL)
+        return NULL;
+    policy = GA(config, gc_policy);
+    Py_DECREF(config);
+    if (policy == NULL)
+        return NULL;
+    c = PyUnicode_CheckExact(policy)
+        && PyUnicode_Compare(policy, S_greedy) == 0;
+    Py_DECREF(policy);
+    if (!c)
+        goto python;
+    switch (greedy_victim(cx, cid, floor, &victim)) {
+    case -1:
+        return NULL;
+    case 1:
+        return victim;
+    }
+python:
+    CALLOUT(L_FTL);
+    return min_invalid != NULL
+        ? call_method2(ftl, S__select_victim, chip, min_invalid)
+        : call_method1(ftl, S__select_victim, chip);
 }
 
 /* ``self._predictor_wants_gc(chip_id, now=None)`` as a truth value */
@@ -1867,6 +2919,7 @@ predictor_wants_gc(PyObject *ftl, PyObject *chip)
 {
     PyObject *args[3] = {ftl, chip, Py_None}, *v;
     int r;
+    CALLOUT(L_FTL);
     v = PyObject_VectorcallMethod(S__predictor_wants_gc, args,
                                   2 | PY_VECTORCALL_ARGUMENTS_OFFSET, KW_NOW);
     if (v == NULL)
@@ -1893,8 +2946,9 @@ wants_background_gc(Ctx *cx, PyObject *chip, long long cid)
     if (cx->gcq == GCQ_UNKNOWN && ctx_gc_query(cx) < 0)
         return -1;
     if (cx->gcq == GCQ_PYTHON) {
+        CALLOUT(L_FTL);
         v = call_method1(ftl, S_wants_background_gc, chip);
-        ctx_flush(cx);
+        ctx_flush_after(cx, L_FTL);
         if (v == NULL)
             return -1;
         r = truthy(v);
@@ -1942,8 +2996,8 @@ wants_background_gc(Ctx *cx, PyObject *chip, long long cid)
             Py_CLEAR(v);
             if (free_n < threshold) {
                 if ((min_invalid = bg_min_invalid(cx, ftl)) == NULL
-                        || (v = call_method2(ftl, S__select_victim, chip,
-                                             min_invalid)) == NULL)
+                        || (v = select_victim(cx, ftl, chip, cid,
+                                              min_invalid)) == NULL)
                     goto done;
                 want = v != Py_None;
                 Py_CLEAR(v);
@@ -1978,6 +3032,186 @@ done:
     return r;
 }
 
+/* ``self._gc_step(chip_id)`` from the idle path: flexFTL's relocation
+ * step natively (as in its next_op), the Python method otherwise */
+static PyObject *
+idle_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
+{
+    PyObject *out;
+    if (cx->flex && ftl == PyMethod_GET_SELF(cx->next_op))
+        return flex_gc_step(cx, ftl, chip, cid);
+    CALLOUT(L_FTL);
+    out = call_method1(ftl, S__gc_step, chip);
+    ctx_flush_after(cx, L_FTL);
+    return out;
+}
+
+/* ``ftl.background_op(chip_id, now)`` (``ftl`` held by the caller).
+ * The stock BaseFtl method (and
+ * FlexFtl's, which first flushes the deferred parity invalidations and
+ * adds the predictor's trigger) runs here, with the greedy victim scan;
+ * the GC begin and a GC step other than flexFTL's call Python.  A chip
+ * with fault work, and any other method, calls the Python method, and
+ * the cache is dropped.  New reference. */
+static PyObject *
+background_op(Ctx *cx, PyObject *ctrl, PyObject *ftl, PyObject *chip,
+              long long cid, PyObject *now)
+{
+    PyObject *state = NULL, *v = NULL, *config = NULL, *min_invalid = NULL,
+        *victim = NULL, *out = NULL, *res;
+    long long free_n, threshold;
+    int c, flex;
+
+    if (NEED_CTRL(cx, ctrl) < 0
+            || (cx->gcq == GCQ_UNKNOWN && ctx_gc_query(cx) < 0))
+        return NULL;
+    if (ftl != cx->ftl || cx->bgo == GCQ_PYTHON)
+        goto python;
+    flex = cx->bgo == GCQ_FLEX;
+    if ((state = item_at(cx->gc_chips, (Py_ssize_t)cid)) == NULL
+            || (v = GA(state, fault_work)) == NULL)
+        goto done;
+    c = v != Py_None;
+    Py_CLEAR(v);
+    if (c) {
+        /* the recovery step may rebind anything: all of it in Python */
+        Py_CLEAR(state);
+        goto python;
+    }
+    if (flex) {
+        /* self._flush_parity_invalidations(chip_id), which returns at
+         * once when the chip has none pending */
+        c = 1;
+        if (cx->flush_pi_stock) {
+            PyObject *pending;
+            if ((v = GA(ftl, _pending_invalidations)) == NULL
+                    || (pending = item_at(v, (Py_ssize_t)cid)) == NULL)
+                goto done;
+            c = truthy(pending);
+            Py_DECREF(pending);
+            if (c < 0)
+                goto done;
+            Py_CLEAR(v);
+        }
+        if (c) {
+            CALLOUT(L_FTL);
+            if ((res = call_method1(ftl, S__flush_parity_invalidations,
+                                    chip)) == NULL)
+                goto done;
+            Py_DECREF(res);
+        }
+    }
+    /* ---- BaseFtl.background_op ---- */
+    /* if state.pending: return state.pending.popleft() */
+    if ((v = GA(state, pending)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    if (c) {
+        out = call_method0(v, S_popleft);
+        goto done;
+    }
+    Py_CLEAR(v);
+    /* if state.gc is not None: return self._gc_step(chip_id) */
+    if ((v = GA(state, gc)) == NULL)
+        goto done;
+    c = v != Py_None;
+    Py_CLEAR(v);
+    if (c) {
+        out = idle_gc_step(cx, ftl, chip, cid);
+        goto done;
+    }
+    /* bg_gc_enabled, the free-block threshold, then the victim */
+    if ((config = GA(ftl, config)) == NULL
+            || (v = GA(config, bg_gc_enabled)) == NULL
+            || (c = truthy(v)) < 0)
+        goto done;
+    Py_CLEAR(v);
+    if (c) {
+        if ((v = GA(state, free_blocks)) == NULL
+                || (free_n = PyObject_Length(v)) < 0
+                || ga_ll(ftl, S_gc_threshold_blocks, &threshold) < 0)
+            goto done;
+        Py_CLEAR(v);
+        if (free_n < threshold) {
+            if ((min_invalid = bg_min_invalid(cx, ftl)) == NULL
+                    || (victim = select_victim(cx, ftl, chip, cid,
+                                               min_invalid)) == NULL)
+                goto done;
+            if (victim != Py_None)
+                goto collect;
+            Py_CLEAR(victim);
+            Py_CLEAR(min_invalid);
+        }
+    }
+    if (!flex) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    /* ---- FlexFtl: the predictor's trigger ----
+     * if state.gc is not None or not self._predictor_wants_gc(chip_id,
+     *                                                         now) */
+    if ((v = GA(state, gc)) == NULL)
+        goto done;
+    c = v == Py_None;
+    Py_CLEAR(v);
+    if (c && cx->predictor_stock) {
+        /* _predictor_wants_gc is False without a predictor or with
+         * background GC off */
+        if ((v = GA(config, bg_gc_enabled)) == NULL
+                || (c = truthy(v)) < 0)
+            goto done;
+        Py_CLEAR(v);
+        if (c) {
+            if ((v = GA(ftl, predictor)) == NULL)
+                goto done;
+            c = v != Py_None;
+            Py_CLEAR(v);
+        }
+    }
+    if (c) {
+        CALLOUT(L_FTL);
+        if ((v = call_method2(ftl, S__predictor_wants_gc, chip, now)) == NULL
+                || (c = truthy(v)) < 0)
+            goto done;
+        Py_CLEAR(v);
+    }
+    if (!c) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    if ((min_invalid = bg_min_invalid(cx, ftl)) == NULL
+            || (victim = select_victim(cx, ftl, chip, cid, min_invalid))
+               == NULL)
+        goto done;
+    if (victim == Py_None) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+collect:
+    /* self._begin_gc(chip_id, victim, background=True)
+     * return self._gc_step(chip_id) */
+    CALLOUT(L_FTL);
+    if ((res = PyObject_CallMethodObjArgs(ftl, S__begin_gc, chip, victim,
+                                          Py_True, NULL)) == NULL)
+        goto done;
+    Py_DECREF(res);
+    out = idle_gc_step(cx, ftl, chip, cid);
+done:
+    Py_XDECREF(state);
+    Py_XDECREF(v);
+    Py_XDECREF(config);
+    Py_XDECREF(min_invalid);
+    Py_XDECREF(victim);
+    return out;
+python:
+    CALLOUT(L_FTL);
+    out = call_method2(ftl, S_background_op, chip, now);
+    ctx_flush_after(cx, L_FTL);
+    return out;
+}
+
 /* ``host_idle() and ftl.wants_background_gc(chip)`` then
  * ``ftl.background_op(chip, now)``: the idle-time work of the pump.
  * Sets *op (new reference) when there is some. */
@@ -2008,8 +3242,7 @@ idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
     ftl = CX(cx, ftl);
     c = wants_background_gc(cx, chip, cid);
     if (c > 0) {
-        PyObject *res = call_method2(ftl, S_background_op, chip, now);
-        ctx_flush(cx);
+        PyObject *res = background_op(cx, ctrl, ftl, chip, cid, now);
         if (res == NULL)
             c = -1;
         else {
@@ -2181,6 +3414,7 @@ physics_hook(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
         args[3] = page;
         args[4] = now;
         args[5] = c ? Py_True : Py_False;
+        CALLOUT(L_PHYSICS);
         if ((res = PyObject_VectorcallMethod(
                  S_on_read, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
                  KW_SAMPLE)) == NULL)
@@ -2193,6 +3427,7 @@ physics_hook(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
          *     return */
         {
             PyObject *nargs[5] = {ctrl, chip, op, rreq, res}, *deferred;
+            CALLOUT(L_PHYSICS);
             deferred = PyObject_VectorcallMethod(
                 S__note_physics_read, nargs,
                 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
@@ -2214,6 +3449,7 @@ physics_hook(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
         args[2] = block;
         args[3] = page;
         args[4] = now;
+        CALLOUT(L_PHYSICS);
         if ((res = PyObject_VectorcallMethod(
                  S_note_program, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
                  NULL)) == NULL)
@@ -2222,6 +3458,7 @@ physics_hook(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
     }
     else {
         /* self._physics.note_erase(chip_id, addr.block) */
+        CALLOUT(L_PHYSICS);
         if ((res = call_method2(physics, S_note_erase, chip, block)) == NULL)
             goto done;
         r = 0;
@@ -2275,9 +3512,10 @@ controller_on_op_done(Ctx *cx, PyObject *ctrl, PyObject *chip, PyObject *op,
         return -1;
     if (cb != Py_None) {
         PyObject *now = ctx_now(cx);
+        CALLOUT(L_HOST);
         res = now == NULL ? NULL : PyObject_CallOneArg(cb, now);
         Py_XDECREF(now);
-        ctx_flush(cx);
+        ctx_flush_after(cx, L_HOST);
         if (res == NULL) {
             Py_DECREF(cb);
             return -1;
@@ -2394,8 +3632,9 @@ controller_submit(Ctx *cx, PyObject *ctrl, PyObject *request)
         if ((v = GA(ctrl, read_only)) == NULL || (c = truthy(v)) < 0)
             goto done;
         if (c) {
+            CALLOUT(L_HOST);
             res = call_method1(ctrl, S__reject_write, request);
-            ctx_flush(cx);
+            ctx_flush_after(cx, L_HOST);
             if (res == NULL)
                 goto done;
             Py_DECREF(res);
@@ -2453,6 +3692,7 @@ scenario_phase(PyObject *host, PyObject *ctrl, PyObject *op, PyObject *index)
             goto done;
         if (c) {
             PyObject *args[5] = {trace, EV_SCENARIO_PHASE, phase, prev, index};
+            CALLOUT(L_TRACER);
             res = PyObject_VectorcallMethod(
                 S_event, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
                 KW_SCENARIO_PHASE);
@@ -2541,12 +3781,18 @@ host_issue(Ctx *cx, PyObject *host, PyObject *index, int streaming)
         if (request == NULL)
             goto done;
     }
-    /* request.on_complete = StreamCompletion(self, index, op.think_after) */
-    if ((think = GA(op, think_after)) == NULL)
+    /* request.on_complete = StreamCompletion(self, index, op.think_after),
+     * its __init__'s slot stores done here */
+    if ((think = GA(op, think_after)) == NULL
+            || (completion = T_Completion->tp_alloc(T_Completion, 0)) == NULL)
         goto done;
-    completion = PyObject_CallFunctionObjArgs(C_StreamCompletion, host, index,
-                                              think, NULL);
-    if (completion == NULL || RQ_SET(request, on_complete, completion) < 0)
+    Py_INCREF(host);
+    SLOT(completion, SC_host) = host;
+    Py_INCREF(index);
+    SLOT(completion, SC_index) = index;
+    Py_INCREF(think);
+    SLOT(completion, SC_think) = think;
+    if (RQ_SET(request, on_complete, completion) < 0)
         goto done;
     /* self.controller.submit(request) */
     if (controller_submit(cx, ctrl, request) < 0)
@@ -2610,6 +3856,7 @@ mapping_map_write(Ctx *cx, PyObject *mapping, PyObject *lpn, long long ppn)
     /* another mapping class, or the error path (which raises) */
     if ((ppn_obj = PyLong_FromLongLong(ppn)) == NULL)
         return -1;
+    CALLOUT(L_FTL);
     res = call_method2(mapping, S_map_write, lpn, ppn_obj);
     Py_DECREF(ppn_obj);
     if (res == NULL)
@@ -2711,6 +3958,7 @@ flex_take_msb(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
         goto done;
     if (full) {
         /* block fully written: GC-eligible, parity page now dead */
+        CALLOUT(L_FTL);
         if ((res = call_method2(ftl, S__mark_block_full, chip, block)) == NULL) {
             Py_CLEAR(*addr);
             goto done;
@@ -2768,6 +4016,112 @@ addr_ppn(Ctx *cx, PyObject *addr, long long *ppn)
     return 0;
 }
 
+/* ``self._enqueue_parity_backup(chip_id,
+ *                                owner=self.mapping.global_block_of(chip_id, block))`` */
+static int
+enqueue_parity(Ctx *cx, PyObject *ftl, PyObject *chip, PyObject *block)
+{
+    PyObject *owner, *res;
+    if (NEED_FTL(cx, ftl) < 0)
+        return -1;
+    CALLOUT(L_FTL);
+    owner = call_method2(cx->mapping, S_global_block_of, chip, block);
+    if (owner == NULL)
+        return -1;
+    CALLOUT(L_FTL);
+    res = call_method2(ftl, S__enqueue_parity_backup, chip, owner);
+    Py_DECREF(owner);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* ``if self._trace is not None:
+ *     self._trace.event("2po.lsb_complete", chip=chip_id, block=block)`` */
+static int
+lsb_complete_event(PyObject *ftl, PyObject *chip, PyObject *block)
+{
+    PyObject *trace = GA(ftl, _trace), *res;
+    if (trace == NULL)
+        return -1;
+    if (trace != Py_None) {
+        PyObject *args[4] = {trace, EV_LSB_COMPLETE, chip, block};
+        CALLOUT(L_TRACER);
+        res = PyObject_VectorcallMethod(
+            S_event, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+            KW_LSB_COMPLETE);
+        if (res == NULL) {
+            Py_DECREF(trace);
+            return -1;
+        }
+        Py_DECREF(res);
+    }
+    Py_DECREF(trace);
+    return 0;
+}
+
+/* FlexFtl._take_lsb with an installed fast block (``fast``, the
+ * manager's _fast): the fast block's next LSB page, with the SBQueue
+ * hand-over and parity enqueue of its last page.  *addr receives the
+ * address (new reference) and *ppn its page number; 0, or -1 on error. */
+static int
+flex_take_fast_lsb(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+                   PyObject *manager, PyObject *fast, PyObject **addr,
+                   long long *ppn)
+{
+    PyObject *block = NULL, *sbqueue = NULL, *res;
+    long long wordline, wordlines, blk;
+    int r = -1;
+
+    *addr = NULL;
+    if (ga_ll(manager, S_wordlines, &wordlines) < 0
+            || ga_ll(fast, S__next, &wordline) < 0
+            || sa_ll(fast, S__next, wordline + 1) < 0
+            || (block = GA(fast, block)) == NULL
+            || quota_add(cx, -1, 0) < 0)
+        goto done;
+    if (wordline + 1 >= wordlines) {
+        /* last LSB page: the block joins the SBQueue and its parity
+         * page is persisted */
+        PyObject *wl = PyLong_FromLongLong(wordlines), *cursor;
+        if (wl == NULL)
+            goto done;
+        cursor = PyObject_CallFunctionObjArgs(C_PhaseCursor, block, wl,
+                                              P_MSB, NULL);
+        Py_DECREF(wl);
+        if (cursor == NULL || (sbqueue = GA(manager, _sbqueue)) == NULL) {
+            Py_XDECREF(cursor);
+            goto done;
+        }
+        res = call_method1(sbqueue, S_append, cursor);
+        Py_DECREF(cursor);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+        if (SA(manager, _fast, Py_None) < 0
+                || lsb_complete_event(ftl, chip, block) < 0
+                || enqueue_parity(cx, ftl, chip, block) < 0)
+            goto done;
+    }
+    else if (cx->interval > 0 && (wordline + 1) % cx->interval == 0
+             && enqueue_parity(cx, ftl, chip, block) < 0)
+        goto done;
+    if (NEED_FTL(cx, ftl) < 0
+            || (*addr = chip_page_address(cx, cid, block, 2 * wordline))
+               == NULL
+            || as_ll(block, &blk) < 0)
+        goto done;
+    *ppn = cid * cx->f_ppc + blk * cx->f_ppb + 2 * wordline;
+    r = 0;
+done:
+    if (r < 0)
+        Py_CLEAR(*addr);
+    Py_XDECREF(block);
+    Py_XDECREF(sbqueue);
+    return r;
+}
+
 /* BaseFtl._gc_step for a stock FlexFtl: the relocation step natively
  * (allocating like FlexFtl._allocate_gc_page); the victim's erase, once
  * it is drained, stays in the Python method. */
@@ -2777,7 +4131,8 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
     PyObject *state = NULL, *job = NULL, *lpns = NULL, *lpn = NULL,
         *mapping = NULL, *ppn = NULL, *taddr = NULL, *tptype = NULL,
         *saddr = NULL, *hook = NULL, *pending = NULL, *op = NULL,
-        *res = NULL, *out = NULL, *target, *geometry;
+        *res = NULL, *out = NULL, *manager = NULL, *fast = NULL, *target,
+        *geometry;
     long long p, ppb, victim_gb, tppn;
     int c;
 
@@ -2813,14 +4168,27 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
             Py_CLEAR(ppn);
             continue;
         }
-        /* target = self._allocate_gc_page(chip_id) */
+        /* target = self._allocate_gc_page(chip_id): _take_msb, else
+         * _take_lsb(chip_id, for_gc=True) */
         if ((c = flex_take_msb(cx, ftl, chip, cid, &taddr)) < 0)
             goto done;
         if (c) {
             Py_INCREF(P_MSB);
             tptype = P_MSB;
         }
+        else if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
+                 || (fast = GA(manager, _fast)) == NULL)
+            goto done;
+        else if (fast != Py_None) {
+            if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, &taddr,
+                                   &tppn) < 0)
+                goto done;
+            Py_INCREF(P_LSB);
+            tptype = P_LSB;
+        }
         else {
+            /* no fast block: _take_lsb installs one (or finds no room) */
+            CALLOUT(L_FTL);
             if ((target = call_method2(ftl, S__take_lsb, chip, Py_True)) == NULL)
                 goto done;
             if (target == Py_None) {
@@ -2839,7 +4207,7 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
         }
         if ((geometry = GA(ftl, geometry)) == NULL)
             goto done;
-        saddr = geometry_address_of(geometry, ppn);
+        saddr = geometry_address_of(cx, geometry, ppn);
         Py_DECREF(geometry);
         if (saddr == NULL || NEED_FTL(cx, ftl) < 0
                 || addr_ppn(cx, taddr, &tppn) < 0
@@ -2852,6 +4220,7 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
             goto done;
         if (hook != Py_None) {
             /* an FTL hook: device-internal, so the cache stands */
+            CALLOUT(L_FTL);
             res = PyObject_CallFunctionObjArgs(hook, chip, taddr, tptype, NULL);
             if (res == NULL)
                 goto done;
@@ -2867,8 +4236,9 @@ flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
         goto done;
     }
     /* victim drained: the Python step erases and recycles it */
+    CALLOUT(L_FTL);
     out = call_method1(ftl, S__gc_step, chip);
-    ctx_flush(cx);
+    ctx_flush_after(cx, L_FTL);
 done:
     Py_XDECREF(state);
     Py_XDECREF(job);
@@ -2883,6 +4253,8 @@ done:
     Py_XDECREF(pending);
     Py_XDECREF(op);
     Py_XDECREF(res);
+    Py_XDECREF(manager);
+    Py_XDECREF(fast);
     return out;
 }
 
@@ -2901,48 +4273,6 @@ count_decision(Ctx *cx, PyObject *choice)
     r = PyObject_SetItem(cx->decisions, choice, nv);
     Py_DECREF(nv);
     return r;
-}
-
-/* ``self._enqueue_parity_backup(chip_id,
- *                                owner=self.mapping.global_block_of(chip_id, block))`` */
-static int
-enqueue_parity(Ctx *cx, PyObject *ftl, PyObject *chip, PyObject *block)
-{
-    PyObject *owner, *res;
-    if (NEED_FTL(cx, ftl) < 0)
-        return -1;
-    owner = call_method2(cx->mapping, S_global_block_of, chip, block);
-    if (owner == NULL)
-        return -1;
-    res = call_method2(ftl, S__enqueue_parity_backup, chip, owner);
-    Py_DECREF(owner);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-}
-
-/* ``if self._trace is not None:
- *     self._trace.event("2po.lsb_complete", chip=chip_id, block=block)`` */
-static int
-lsb_complete_event(PyObject *ftl, PyObject *chip, PyObject *block)
-{
-    PyObject *trace = GA(ftl, _trace), *res;
-    if (trace == NULL)
-        return -1;
-    if (trace != Py_None) {
-        PyObject *args[4] = {trace, EV_LSB_COMPLETE, chip, block};
-        res = PyObject_VectorcallMethod(
-            S_event, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
-            KW_LSB_COMPLETE);
-        if (res == NULL) {
-            Py_DECREF(trace);
-            return -1;
-        }
-        Py_DECREF(res);
-    }
-    Py_DECREF(trace);
-    return 0;
 }
 
 /* PolicyManager.choose with both page types available, as
@@ -2992,10 +4322,11 @@ flex_write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
     if ((gc = GA(state, gc)) == NULL)
         return NULL;
     if (gc == Py_None) {
-        PyObject *victim = call_method1(ftl, S__select_victim, chip);
+        PyObject *victim = select_victim(cx, ftl, chip, cid, NULL);
         if (victim == NULL)
             goto error;
         if (victim != Py_None) {
+            CALLOUT(L_FTL);
             res = PyObject_CallMethodObjArgs(ftl, S__begin_gc, chip, victim,
                                              Py_False, NULL);
             if (res == NULL) {
@@ -3046,9 +4377,9 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
 {
     PyObject *v = NULL, *state = NULL, *buffer = NULL, *manager = NULL,
         *fast = NULL, *sbqueue = NULL, *choice, *addr = NULL, *ptype = NULL,
-        *alloc = NULL, *block = NULL, *entry = NULL, *lpn = NULL,
+        *alloc = NULL, *entry = NULL, *lpn = NULL,
         *out = NULL, *res;
-    long long wordlines, fnext = 0, free_n, live, wordline, blk, ppn = 0;
+    long long wordlines, fnext = 0, free_n, live, ppn = 0;
     int c, lsb_available, msb_available;
 
     if (NEED_FTL(cx, ftl) < 0)
@@ -3060,6 +4391,7 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
         goto done;
     Py_CLEAR(v);
     if (c) {
+        CALLOUT(L_FTL);
         if ((res = call_method1(ftl, S__flush_parity_invalidations, chip)) == NULL)
             goto done;
         Py_DECREF(res);
@@ -3080,8 +4412,9 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
     c = v != Py_None;
     Py_CLEAR(v);
     if (c) {
+        CALLOUT(L_FTL);
         res = call_method2(ftl, S__fault_recovery_op, chip, now);
-        ctx_flush(cx);
+        ctx_flush_after(cx, L_FTL);
         if (res == NULL)
             goto done;
         if (res != Py_None) {
@@ -3148,50 +4481,20 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
             goto done;
         if (choice == P_LSB && fast != Py_None) {
             /* _take_lsb with an installed fast block */
-            if (ga_ll(fast, S__next, &wordline) < 0
-                    || sa_ll(fast, S__next, wordline + 1) < 0
-                    || (block = GA(fast, block)) == NULL
-                    || quota_add(cx, -1, 0) < 0)
-                goto done;
-            if (wordline + 1 >= wordlines) {
-                /* last LSB page: the block joins the SBQueue and its
-                 * parity page is persisted */
-                PyObject *wl = PyLong_FromLongLong(wordlines), *cursor;
-                if (wl == NULL)
-                    goto done;
-                cursor = PyObject_CallFunctionObjArgs(C_PhaseCursor, block, wl,
-                                                      P_MSB, NULL);
-                Py_DECREF(wl);
-                if (cursor == NULL)
-                    goto done;
-                res = call_method1(sbqueue, S_append, cursor);
-                Py_DECREF(cursor);
-                if (res == NULL)
-                    goto done;
-                Py_DECREF(res);
-                if (SA(manager, _fast, Py_None) < 0
-                        || lsb_complete_event(ftl, chip, block) < 0
-                        || enqueue_parity(cx, ftl, chip, block) < 0)
-                    goto done;
-            }
-            else if (cx->interval > 0 && (wordline + 1) % cx->interval == 0
-                     && enqueue_parity(cx, ftl, chip, block) < 0)
-                goto done;
-            if (NEED_FTL(cx, ftl) < 0
-                    || (addr = chip_page_address(cx, cid, block,
-                                                 2 * wordline)) == NULL
-                    || as_ll(block, &blk) < 0)
+            if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, &addr,
+                                   &ppn) < 0)
                 goto done;
             Py_INCREF(P_LSB);
             ptype = P_LSB;
-            ppn = cid * cx->f_ppc + blk * cx->f_ppb + 2 * wordline;
         }
         else if (choice == P_LSB) {
             /* no fast block: _take_lsb installs one (or falls to MSB) */
+            CALLOUT(L_FTL);
             if ((alloc = call_method2(ftl, S__take_lsb, chip, Py_False)) == NULL)
                 goto done;
             if (alloc == Py_None) {
                 Py_DECREF(alloc);
+                CALLOUT(L_FTL);
                 if ((alloc = PyObject_CallMethod(ftl, "_take_msb", "O",
                                                  chip)) == NULL)
                     goto done;
@@ -3225,6 +4528,7 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
         goto done;
     Py_CLEAR(v);
     if (c) {
+        CALLOUT(L_CONTROLLER);
         if ((entry = call_method0(buffer, S_pop)) == NULL)
             goto done;
     }
@@ -3273,6 +4577,7 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
     if (v != Py_None) {
         /* an FTL hook (the tracer's allocation capture, the predictor's
          * observation): device-internal, so the cache stands */
+        CALLOUT(L_FTL);
         res = PyObject_CallFunctionObjArgs(v, chip, addr, ptype, now, NULL);
         if (res == NULL)
             goto done;
@@ -3289,7 +4594,6 @@ done:
     Py_XDECREF(addr);
     Py_XDECREF(ptype);
     Py_XDECREF(alloc);
-    Py_XDECREF(block);
     Py_XDECREF(entry);
     Py_XDECREF(lpn);
     return out;
@@ -3385,7 +4689,7 @@ dispatch(Ctx *cx, PyObject *fn, PyObject *args)
         Py_DECREF(tuple);
     }
     /* a Python handler may have rebound anything (a power cut) */
-    ctx_flush(cx);
+    ctx_flush_after(cx, F_HANDLER);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -3430,6 +4734,7 @@ core_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *sim, *until, *max_events, *active = NULL, *entry, *v, *nv;
     long long remaining = -1, pos;
+    unsigned long long epoch = 0;
     int c;
     Ctx cx;
 
@@ -3552,6 +4857,7 @@ core_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             Py_INCREF(fn);
             Py_INCREF(fargs);
             cx.now = PyList_GET_ITEM(entry, 0);
+            epoch = cx.epoch;
             c = dispatch(&cx, fn, fargs);
             cx.now = NULL;
             Py_DECREF(fn);
@@ -3562,7 +4868,13 @@ core_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto error;
         if (remaining > 0)
             remaining--;
-        /* the callback may have rebound the active bucket (halt) */
+        /* the callback may have rebound the active bucket (halt).  Only
+         * Python code can, and an event that ran any flushed the cache:
+         * otherwise the cursor is where it was published. */
+        if (cx.epoch == epoch) {
+            pos++;
+            continue;
+        }
         Py_SETREF(active, GA(sim, _active));
         if (active == NULL || ga_ll(sim, S__active_pos, &pos) < 0)
             goto error;
@@ -3580,33 +4892,52 @@ error:
 /* ------------------------------------------------------------------ */
 /* coverage                                                           */
 
+/* {names[i]: counts[i]} for i in [first, n) */
 static PyObject *
-core_coverage(PyObject *module, PyObject *unused)
+counts_dict(const char **names, const unsigned long long *counts, int first,
+            int n)
 {
-    PyObject *python = PyDict_New(), *v;
+    PyObject *d = PyDict_New(), *v;
     int i;
-    if (python == NULL)
+    if (d == NULL)
         return NULL;
-    for (i = 1; i < N_REASONS; i++) {
-        v = PyLong_FromUnsignedLongLong(cov_python[i]);
-        if (v == NULL || PyDict_SetItemString(python, REASON_NAMES[i], v) < 0) {
+    for (i = first; i < n; i++) {
+        v = PyLong_FromUnsignedLongLong(counts[i]);
+        if (v == NULL || PyDict_SetItemString(d, names[i], v) < 0) {
             Py_XDECREF(v);
-            Py_DECREF(python);
+            Py_DECREF(d);
             return NULL;
         }
         Py_DECREF(v);
     }
-    return Py_BuildValue("{s:K,s:N}", "native", cov_native,
-                         "python", python);
+    return d;
+}
+
+static PyObject *
+core_coverage(PyObject *module, PyObject *unused)
+{
+    PyObject *python, *callouts = NULL, *flushes = NULL;
+    if ((python = counts_dict(REASON_NAMES, cov_python, 1, N_REASONS)) == NULL
+            || (callouts = counts_dict(LAYER_NAMES, cov_callouts, 0,
+                                       N_LAYERS)) == NULL
+            || (flushes = counts_dict(LAYER_NAMES, cov_flushes, 0,
+                                      N_LAYERS + 1)) == NULL) {
+        Py_XDECREF(python);
+        Py_XDECREF(callouts);
+        return NULL;
+    }
+    return Py_BuildValue("{s:K,s:N,s:N,s:N}", "native", cov_native,
+                         "python", python, "callouts", callouts,
+                         "flushes", flushes);
 }
 
 static PyObject *
 core_reset_coverage(PyObject *module, PyObject *unused)
 {
-    int i;
     cov_native = 0;
-    for (i = 0; i < N_REASONS; i++)
-        cov_python[i] = 0;
+    memset(cov_python, 0, sizeof cov_python);
+    memset(cov_callouts, 0, sizeof cov_callouts);
+    memset(cov_flushes, 0, sizeof cov_flushes);
     Py_RETURN_NONE;
 }
 
@@ -3687,6 +5018,12 @@ bind(void)
             || (T_PPA = type_ref(refs, "PhysicalPageAddress")) == NULL
             || (T_StreamHost = type_ref(refs, "StreamingClosedLoopHost")) == NULL
             || (T_ClosedHost = type_ref(refs, "ClosedLoopHost")) == NULL
+            || (T_Array = type_ref(refs, "NandArray")) == NULL
+            || (T_Chip = type_ref(refs, "Chip")) == NULL
+            || (T_Block = type_ref(refs, "Block")) == NULL
+            || (T_SimStats = type_ref(refs, "SimStats")) == NULL
+            || (T_Event = type_ref(refs, "Event")) == NULL
+            || (T_Completion = type_ref(refs, "StreamCompletion")) == NULL
             || (F_push = ref(refs, "push")) == NULL
             || (F_on_op_done = ref(refs, "on_op_done")) == NULL
             || (F_execute = ref(refs, "execute")) == NULL
@@ -3698,13 +5035,30 @@ bind(void)
             || (F_flex_wants_gc = ref(refs, "flex_wants_gc")) == NULL
             || (F_bg_min_invalid = ref(refs, "bg_min_invalid")) == NULL
             || (F_predictor_wants_gc = ref(refs, "predictor_wants_gc")) == NULL
+            || (F_array_program = ref(refs, "array_program")) == NULL
+            || (F_array_read = ref(refs, "array_read")) == NULL
+            || (F_array_erase = ref(refs, "array_erase")) == NULL
+            || (F_is_programmed = ref(refs, "is_programmed")) == NULL
+            || (F_complete_request = ref(refs, "complete_request")) == NULL
+            || (F_note_request_complete = ref(refs, "note_request_complete"))
+               == NULL
+            || (F_stream_advance = ref(refs, "stream_advance")) == NULL
+            || (F_closed_advance = ref(refs, "closed_advance")) == NULL
+            || (F_schedule = ref(refs, "schedule")) == NULL
+            || (F_check_schedule = ref(refs, "check_schedule")) == NULL
+            || (F_select_victim = ref(refs, "select_victim")) == NULL
+            || (F_victim_score = ref(refs, "victim_score")) == NULL
+            || (F_global_block_of = ref(refs, "global_block_of")) == NULL
+            || (F_invalid_count = ref(refs, "invalid_count")) == NULL
+            || (F_base_background_op = ref(refs, "base_background_op")) == NULL
+            || (F_flex_background_op = ref(refs, "flex_background_op")) == NULL
+            || (F_flush_parity = ref(refs, "flush_parity")) == NULL
             || (K_PROGRAM = ref(refs, "PROGRAM")) == NULL
             || (K_READ = ref(refs, "READ")) == NULL
             || (R_READ = ref(refs, "REQUEST_READ")) == NULL
             || (P_LSB = ref(refs, "LSB")) == NULL
             || (P_MSB = ref(refs, "MSB")) == NULL
             || (C_PhaseCursor = ref(refs, "PhaseCursor")) == NULL
-            || (C_StreamCompletion = ref(refs, "StreamCompletion")) == NULL
             || (heappush_fn = ref(refs, "heappush")) == NULL
             || (heappop_fn = ref(refs, "heappop")) == NULL
             || (STOCK = ref(refs, "stock")) == NULL)
@@ -3727,11 +5081,15 @@ bind(void)
             || member_offset(T_Request, "pages_remaining",
                              &RQ_pages_remaining) < 0
             || member_offset(T_Request, "submitted_at", &RQ_submitted_at) < 0
+            || member_offset(T_Request, "completed_at", &RQ_completed_at) < 0
             || member_offset(T_Request, "on_complete", &RQ_on_complete) < 0
             || member_offset(T_BufferedWrite, "lpn", &BW_lpn) < 0
             || member_offset(T_BufferedWrite, "enqueued_at",
                              &BW_enqueued_at) < 0
-            || member_offset(T_BufferedWrite, "request", &BW_request) < 0)
+            || member_offset(T_BufferedWrite, "request", &BW_request) < 0
+            || member_offset(T_Completion, "host", &SC_host) < 0
+            || member_offset(T_Completion, "index", &SC_index) < 0
+            || member_offset(T_Completion, "think", &SC_think) < 0)
         goto done;
     bound = 1;
     r = 0;
@@ -3747,7 +5105,8 @@ static PyMethodDef core_methods[] = {
     {"run", (PyCFunction)(void (*)(void))core_run, METH_FASTCALL,
      "run(sim, until, max_events): Simulator.run natively."},
     {"coverage", core_coverage, METH_NOARGS,
-     "Events handled natively, and events passed to Python by reason."},
+     "Events handled natively and passed to Python by reason, the core's "
+     "calls into Python by layer, and cache flushes by cause."},
     {"reset_coverage", core_reset_coverage, METH_NOARGS,
      "Zero the coverage counters."},
     {NULL, NULL, 0, NULL},

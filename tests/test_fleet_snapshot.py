@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.fleet.snapshot import (
 from repro.nand.geometry import NandGeometry
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.presets import make_preset
+from repro.sim import _native
 from repro.sim.kernel import HeapSimulator
 from repro.sim.powerloss import ScheduledPowerLoss
 
@@ -324,3 +326,87 @@ class TestHostPicklability:
             tracer.detach()
         # Detached again, the device snapshots fine.
         run.save(tmp_path / "dev.snap")
+
+
+#: A flexFTL device checkpointed mid-run by this release, at snapshot
+#: format 2.  Committed, so a later format change meets a file an older
+#: build wrote.  Regenerate (after a deliberate format change) with
+#: ``python -c "from tests.test_fleet_snapshot import write_fixture;
+#: print(write_fixture())"`` and record the printed fingerprint below.
+FIXTURE = Path(__file__).parent / "data" / "snapshot_format2_device.snap"
+
+#: DeviceRun.fingerprint() of the fixture's device run to completion
+FIXTURE_FINGERPRINT = \
+    "7848603f2456cc9942cd99f01996ea38d0d3eda9c8b72ca679ff60c77f7a7c73"
+
+
+def write_fixture(path=FIXTURE):
+    """Write the fixture: ``spec_for()`` checkpointed after 600 events.
+    Returns the fingerprint of the run to completion."""
+    run = DeviceRun.build(spec_for())
+    run.advance(600)
+    run.save(path)
+    run.run_to_completion()
+    return run.fingerprint()
+
+
+def split_snapshot(blob):
+    """``(magic, header dict, payload)`` of a snapshot file's bytes."""
+    (length,) = struct.unpack(">I", blob[8:12])
+    return blob[:8], json.loads(blob[12:12 + length]), blob[12 + length:]
+
+
+def join_snapshot(magic, header, payload):
+    raw = json.dumps(header, sort_keys=True,
+                     separators=(",", ":")).encode()
+    return magic + struct.pack(">I", len(raw)) + raw + payload
+
+
+class TestFormat2Fixture:
+    @pytest.mark.parametrize("native", [True, False],
+                             ids=["native", "python"])
+    def test_resume_reproduces_fingerprint(self, monkeypatch, native):
+        """The committed checkpoint resumes to its recorded fingerprint
+        on the native core and on pure Python."""
+        if native and _native.core is None:
+            pytest.skip(f"native core unavailable: {_native.STATUS}")
+        if not native:
+            monkeypatch.setattr(_native, "core", None)
+        header = read_snapshot_header(FIXTURE)
+        assert header["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
+        run = DeviceRun.load(FIXTURE)
+        assert run.sim.processed == header["events"]
+        assert run.measured_events == 600
+        run.run_to_completion()
+        assert run.fingerprint() == FIXTURE_FINGERPRINT
+
+    @pytest.mark.parametrize("cut", [4, 11, 100, -1],
+                             ids=["magic", "header-length", "header",
+                                  "payload"])
+    def test_truncated_copy_refused(self, tmp_path, cut):
+        path = tmp_path / "truncated.snap"
+        path.write_bytes(FIXTURE.read_bytes()[:cut])
+        with pytest.raises(SnapshotFormatError):
+            DeviceRun.load(path)
+
+    def test_corrupt_payload_refused(self, tmp_path):
+        """A flipped payload byte fails the integrity check; a corrupt
+        payload behind a matching digest fails in the unpickler, and
+        is refused with the same typed error, never a raw one."""
+        magic, header, payload = split_snapshot(FIXTURE.read_bytes())
+        path = tmp_path / "flipped.snap"
+        flipped = bytearray(payload)
+        flipped[len(flipped) // 2] ^= 0xFF
+        path.write_bytes(join_snapshot(magic, header, bytes(flipped)))
+        with pytest.raises(SnapshotFormatError, match="integrity"):
+            DeviceRun.load(path)
+        # a class the payload names no longer exists: AttributeError
+        # inside pickle.loads
+        renamed = payload.replace(b"NandArray", b"NandArrax")
+        assert renamed != payload
+        header = dict(header, payload_bytes=len(renamed),
+                      payload_sha256=hashlib.sha256(renamed).hexdigest())
+        path = tmp_path / "renamed.snap"
+        path.write_bytes(join_snapshot(magic, header, renamed))
+        with pytest.raises(SnapshotFormatError, match="unpickle"):
+            DeviceRun.load(path)

@@ -23,6 +23,7 @@ from repro.core.flexftl import FlexFtl
 from repro.core.page_allocator import PolicyManager
 from repro.core.predictor import EwmaBurstPredictor
 from repro.experiments import fig8, runner
+from repro.experiments.ablation import run_gc_policy_ablation
 from repro.experiments.engine import EngineOptions
 from repro.experiments.tlc_system import build_tlc_system
 from repro.faults.injector import FaultInjector
@@ -33,7 +34,14 @@ from repro.ftl.base import FtlConfig
 from repro.ftl.pageftl import PageFtl
 from repro.ftl.parityftl import ParityFtl
 from repro.ftl.rtfftl import RtfFtl
+from repro.ftl.slcftl import SlcFtl
+from repro.nand.array import NandArray
+from repro.nand.block import ERASED_CODE, PROGRAMMED_CODE
 from repro.nand.geometry import NandGeometry, PhysicalPageAddress
+from repro.nand.page_types import PageType, page_index
+from repro.nand.sequence import SequenceScheme, constraint_violations
+from repro.perfbench import harness
+from repro.qos.slo import SloAccountant, _ChainedHook
 from repro.observability.tracer import Tracer
 from repro.reliability.physics import PhysicsConfig, PhysicsEngine
 from repro.scenarios.host import StreamingClosedLoopHost
@@ -44,12 +52,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.controller import StorageController
 from repro.sim.ops import FlashOp, OpKind
 from repro.sim.powerloss import ScheduledPowerLoss
-from repro.sim.queues import Request, RequestKind
+from repro.sim.queues import Request, RequestKind, WriteBuffer
 from repro.sim.stats import SimStats
 from repro.sim.tracing import OpLog
 from repro.workloads.synthetic import sequential_fill
 
-from tests.helpers import build_small_system
+from tests.helpers import build_small_system, random_legal_order
 from tests.test_golden_traces import SCENARIOS as TRACE_SCENARIOS
 from tests.test_kernel_calendar_property import drive
 from tests.test_perf_equivalence import GOLDEN as GOLDEN_FIG8
@@ -825,18 +833,20 @@ def count_calls(ftl, name, counts):
     setattr(ftl, name, counted)
 
 
-def idle_run(ftl_cls=FlexFtl, patch=None, **build_kwargs):
+def idle_run(ftl_cls=FlexFtl, patch=None, count=True, **build_kwargs):
     """``small_run`` returning the FTL too (after ``patch(ftl)``).  The
     outcome includes how often the idle-time work and the victim scan
     were called: a query that answers True where the stock one answers
     False shows there even when the work it asks for comes to
-    nothing."""
+    nothing.  ``count=False`` leaves both methods stock, so the core
+    runs them natively."""
     sim, array, buffer, ftl, controller = build(ftl_cls, **build_kwargs)
     if patch is not None:
         patch(ftl)
     counts = {}
-    count_calls(ftl, "background_op", counts)
-    count_calls(ftl, "_select_victim", counts)
+    if count:
+        count_calls(ftl, "background_op", counts)
+        count_calls(ftl, "_select_victim", counts)
     span = int(ftl.logical_pages * 0.8)
     fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
     fill.start()
@@ -883,19 +893,18 @@ def test_overridden_query_is_called(use_core):
 EAGER_GC = {"gc_threshold_fraction": 0.4}
 
 
-@pytest.mark.parametrize("ftl_cls,config", [
+EAGER_CASES = pytest.mark.parametrize("ftl_cls,config", [
     (FlexFtl, {}),
     (PageFtl, {}),
     (FlexFtl, {"bg_gc_min_invalid_fraction": 0.45}),
     (FlexFtl, {"bg_gc_enabled": False}),
     (PageFtl, {"bg_gc_enabled": False}),
 ], ids=["flex", "page", "flex-min-invalid", "flex-bg-off", "page-bg-off"])
-def test_query_eager_background_gc(use_core, ftl_cls, config):
-    """The query at a threshold idle time reaches: background GCs run
-    (or, with background GC off, do not) as on Python, with the same
-    calls of ``background_op`` and the victim scan."""
+
+
+def eager_background_gc(use_core, ftl_cls, config, count):
     def run():
-        result, ftl = idle_run(ftl_cls, ftl_config=FtlConfig(
+        result, ftl = idle_run(ftl_cls, count=count, ftl_config=FtlConfig(
             **EAGER_GC, **config))
         return result, ftl.background_gcs
 
@@ -908,6 +917,22 @@ def test_query_eager_background_gc(use_core, ftl_cls, config):
     assert coverage["native"] > 0
 
 
+@EAGER_CASES
+def test_query_eager_background_gc(use_core, ftl_cls, config):
+    """The query at a threshold idle time reaches: background GCs run
+    (or, with background GC off, do not) as on Python, with the same
+    calls of ``background_op`` and the victim scan (counted through
+    instance patches, which the core calls)."""
+    eager_background_gc(use_core, ftl_cls, config, count=True)
+
+
+@EAGER_CASES
+def test_native_background_op(use_core, ftl_cls, config):
+    """The same runs with ``background_op`` and the victim scan left
+    stock, so the core runs both itself."""
+    eager_background_gc(use_core, ftl_cls, config, count=False)
+
+
 def test_query_with_a_predictor(use_core):
     """flexFTL with a predictor: the query reaches
     ``_predictor_wants_gc`` (the predictor's estimates count it) as
@@ -916,12 +941,50 @@ def test_query_with_a_predictor(use_core):
         predictor = CountingPredictor()
         result, ftl = idle_run(predictor=predictor,
                                ftl_config=FtlConfig(**EAGER_GC))
-        return result, predictor.estimates, ftl.background_gcs
+        stock_predictor = CountingPredictor()
+        stock, _ = idle_run(predictor=stock_predictor, count=False,
+                            ftl_config=FtlConfig(**EAGER_GC))
+        return (result, predictor.estimates, ftl.background_gcs, stock,
+                stock_predictor.estimates)
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
-    assert oracle[1] > 0
+    assert oracle[1] > 0 and oracle[4] > 0
     assert coverage["native"] > 0
+
+
+def bursty_streams(span, seed, streams=4, bursts=10, size=20, gap=0.1):
+    """Write bursts separated by idle gaps longer than the burst
+    predictor's gap threshold."""
+    rng = random.Random(seed)
+    return [[StreamOp(RequestKind.WRITE, rng.randrange(span), 1,
+                      think_after=gap if index == size - 1 else 0.0)
+             for _ in range(bursts) for index in range(size)]
+            for _ in range(streams)]
+
+
+def test_predictor_driven_background_gc(use_core):
+    """Bursty writes with the default threshold (one block here, so the
+    base condition never asks): every background GC is the predictor's
+    doing, through the query and flexFTL's ``background_op``, both
+    stock and run by the core."""
+    def run():
+        predictor = CountingPredictor()
+        sim, _, _, ftl, controller = build(predictor=predictor)
+        span = int(ftl.logical_pages * 0.8)
+        fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
+        fill.start()
+        sim.run()
+        host = ClosedLoopHost(sim, controller, bursty_streams(span, 7))
+        host.start()
+        sim.run()
+        return (outcome(sim, ftl, controller.stats), predictor.estimates,
+                ftl.background_gcs)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[2] > 0
+    assert coverage["native"] > 0 and coverage["python"]["patched"] == 0
 
 
 @pytest.mark.parametrize("recovery", ["next_op", "idle"])
@@ -972,3 +1035,676 @@ def test_pageftl_fleet(use_core):
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
     assert coverage["native"] > 0
+
+
+# ----------------------------------------------------------------------
+# the NAND array
+
+
+def nand_system(scheme, track_history, store_data, array_cls=NandArray):
+    """A pageFTL system over a fresh array: the FTL only hands the ops
+    a test queues on its chips' ``pending`` to the controller."""
+    sim = Simulator()
+    array = array_cls(GEOMETRY, scheme=scheme, store_data=store_data,
+                      track_history=track_history)
+    buffer = WriteBuffer(16)
+    ftl = PageFtl(array, buffer, FtlConfig())
+    controller = StorageController(sim, array, ftl, buffer,
+                                   SimStats(page_size=GEOMETRY.page_size))
+    return sim, array, ftl, controller
+
+
+def kick(sim, controller):
+    """Start the pump from a native event: one read of a never-written
+    page, which completes at once and pumps every idle chip."""
+    host = ClosedLoopHost(sim, controller, [
+        [StreamOp(RequestKind.READ, 0, 1)]])
+    host.start()
+
+
+def legal_programs(rng, scheme, array, count):
+    """``count`` seeded program ops, each legal under ``scheme`` at the
+    point its chip reaches it: per block, a random legal order from the
+    block's current state (blocks opened fresh when one fills)."""
+    wordlines = GEOMETRY.pages_per_block // 2
+    cursors = {}
+    ops = []
+    for _ in range(count):
+        chip_id = rng.randrange(GEOMETRY.total_chips)
+        channel, chip = divmod(chip_id, GEOMETRY.chips_per_channel)
+        block = rng.randrange(3)
+        key = (chip_id, block)
+        if key not in cursors:
+            states = array.chips[chip_id].blocks[block]._states
+            order = [page_index(wordline, ptype) for wordline, ptype in
+                     random_legal_order(rng.randrange(1 << 30), wordlines,
+                                        scheme)]
+            done = {page for page in range(len(states))
+                    if states[page] != ERASED_CODE}
+            if done:
+                # a block touched earlier (a power cut) is left alone
+                continue
+            cursors[key] = iter(order)
+        page = next(cursors[key], None)
+        if page is None:
+            continue
+        data = bytes([rng.randrange(256)]) * 4 if array.store_data else None
+        ops.append(FlashOp(OpKind.PROGRAM, PhysicalPageAddress(
+            channel, chip, block, page), tag="gc", data=data))
+        if rng.random() < 0.3:
+            ops.append(FlashOp(OpKind.READ, PhysicalPageAddress(
+                channel, chip, block, page), tag="gc"))
+    return ops
+
+
+def queue(ftl, ops):
+    for op in ops:
+        chip_id = (op.addr.channel * GEOMETRY.chips_per_channel
+                   + op.addr.chip)
+        ftl.chips[chip_id].pending.append(op)
+
+
+def fault_op(rng, fault, scheme, array, destroyed):
+    """The op that ends a sequence: an illegal or repeated program, or
+    a read of an erased or a destroyed page (None: no fault)."""
+    pages = [(chip_id, block, page)
+             for chip_id, chip in enumerate(array.chips)
+             for block, blk in enumerate(chip.blocks)
+             for page in range(len(blk._states))]
+    rng.shuffle(pages)
+
+    def state(chip_id, block, page):
+        return array.chips[chip_id].blocks[block]._states[page]
+
+    def addr(chip_id, block, page):
+        channel, chip = divmod(chip_id, GEOMETRY.chips_per_channel)
+        return PhysicalPageAddress(channel, chip, block, page)
+
+    def violates(chip_id, block, page, under=scheme):
+        blk = array.chips[chip_id].blocks[block]
+        wordline, ptype = divmod(page, 2)
+        return bool(constraint_violations(blk.is_programmed, blk.wordlines,
+                                          wordline, PageType(ptype), under))
+
+    if fault == "destroyed_read" and destroyed:
+        return FlashOp(OpKind.READ, rng.choice(destroyed), tag="gc")
+    if fault == "double":
+        # a program the scheme allows, of a page already programmed
+        for where in pages:
+            if state(*where) == PROGRAMMED_CODE and not violates(*where):
+                return FlashOp(OpKind.PROGRAM, addr(*where), tag="gc")
+    if fault == "illegal" and scheme is not SequenceScheme.NONE:
+        illegal = [where for where in pages
+                   if state(*where) == ERASED_CODE and violates(*where)]
+        # under FPS, prefer a program only FPS's own constraint forbids
+        illegal.sort(key=lambda where: violates(*where, SequenceScheme.RPS))
+        if illegal:
+            return FlashOp(OpKind.PROGRAM, addr(*illegal[0]), tag="gc")
+    if fault in ("erased_read", "destroyed_read", "illegal"):
+        for where in pages:
+            if state(*where) == ERASED_CODE:
+                return FlashOp(OpKind.READ, addr(*where), tag="gc")
+    return None
+
+
+def array_state(array):
+    """Everything the array holds, floats as their exact hex form."""
+    return [
+        (chip.lsb_programs, chip.msb_programs, chip.reads, chip.erases,
+         chip.busy_time.hex(),
+         [(bytes(blk._states), blk._used, blk.erase_count,
+           list(blk.program_history), blk._data)
+          for blk in chip.blocks])
+        for chip in array.chips
+    ]
+
+
+def nand_sequence(seed, scheme, track_history, store_data, fault,
+                  array_cls=NandArray):
+    """A seeded sequence of NAND ops through the controller: legal
+    programs and reads, a power cut mid-way, more legal ops with an
+    erase, then ``fault``.  Returns the exception (type and message),
+    the array state, the run's end and the number of NAND callouts."""
+    rng = random.Random(seed)
+    _native.reset_coverage()
+    sim, array, ftl, controller = nand_system(scheme, track_history,
+                                              store_data, array_cls)
+    queue(ftl, legal_programs(rng, scheme, array, 160))
+    cut = ScheduledPowerLoss(sim, controller, rng.uniform(4e-3, 12e-3))
+    kick(sim, controller)
+    sim.run()
+    destroyed = list(cut.report.destroyed_pages) if cut.fired else []
+    controller.reset_after_power_loss()
+    for state in ftl.chips:
+        state.pending.clear()
+    ops = legal_programs(rng, scheme, array, 60)
+    ops.append(FlashOp(OpKind.ERASE, PhysicalPageAddress(0, 0, 5, 0),
+                       tag="gc"))
+    op = fault_op(rng, fault, scheme, array, destroyed)
+    if op is not None:
+        ops.append(op)
+    queue(ftl, ops)
+    kick(sim, controller)
+    error = None
+    try:
+        sim.run()
+    except Exception as exc:  # the fault op raises the historical error
+        error = (type(exc).__name__, str(exc))
+    callouts = None
+    if _native.core is not None:
+        callouts = NATIVE.coverage()["callouts"]["nand"]
+    return (error, array_state(array), sim.now, sim.processed,
+            len(destroyed)), callouts
+
+
+FAULTS = ("none", "illegal", "double", "erased_read", "destroyed_read")
+
+
+@pytest.mark.parametrize("scheme", list(SequenceScheme),
+                         ids=lambda scheme: scheme.value)
+@pytest.mark.parametrize("track_history,store_data",
+                         [(True, False), (False, True)],
+                         ids=["history", "data"])
+def test_nand_array_differential(use_core, scheme, track_history,
+                                 store_data):
+    """Seeded NAND op sequences on the stock array: the same
+    exception (type and message), page states, used counts, payloads,
+    program histories, chip counters and busy times, bit for bit.  On
+    the core the only NAND callout is the failing op's."""
+    for index, fault in enumerate(FAULTS):
+        seed = 100 + 10 * index + len(scheme.value)
+
+        def run():
+            return nand_sequence(seed, scheme, track_history, store_data,
+                                 fault)
+
+        (oracle, _), (native, callouts), _ = both(use_core, run)
+        assert native == oracle, fault
+        error = oracle[0]
+        assert oracle[4] > 0  # the cut destroyed pages
+        if fault == "none":
+            assert error is None and callouts == 0
+        else:
+            expected = {
+                "illegal": "ProgramSequenceError",
+                "double": "PageStateError",
+                "erased_read": "EccUncorrectableError",
+                "destroyed_read": "EccUncorrectableError",
+            }[fault]
+            if scheme is SequenceScheme.NONE and fault == "illegal":
+                expected = "EccUncorrectableError"  # nothing is illegal
+            assert error is not None and error[0] == expected, error
+            assert callouts == 1
+        if fault == "destroyed_read":
+            assert "destroyed" in error[1]
+
+
+@pytest.mark.parametrize("scheme", list(SequenceScheme),
+                         ids=lambda scheme: scheme.value)
+def test_nand_legality_walk(use_core, scheme):
+    """Seeded, scheme-ignorant programs (about half break an ordering
+    constraint or repeat a page), reads and erases, one op per run on
+    one device: each op's outcome (its exception, or none), then the
+    whole array, agree on both cores."""
+    def run():
+        rng = random.Random(31)
+        sim, array, ftl, controller = nand_system(scheme, True, False)
+        results = []
+        for _ in range(400):
+            chip_id = rng.randrange(GEOMETRY.total_chips)
+            channel, chip = divmod(chip_id, GEOMETRY.chips_per_channel)
+            addr = PhysicalPageAddress(channel, chip, rng.randrange(3),
+                                       rng.randrange(GEOMETRY.pages_per_block))
+            draw = rng.random()
+            kind = (OpKind.ERASE if draw < 0.03 else OpKind.READ
+                    if draw < 0.2 else OpKind.PROGRAM)
+            queue(ftl, [FlashOp(kind, addr, tag="gc")])
+            kick(sim, controller)
+            try:
+                sim.run()
+                results.append(None)
+            except Exception as exc:  # the historical error, per op
+                results.append((type(exc).__name__, str(exc)))
+        return results, array_state(array)
+
+    oracle, native, _ = both(use_core, run)
+    assert native == oracle
+    errors = {error[0] for error in oracle[0] if error is not None}
+    expected = {"PageStateError", "EccUncorrectableError"}
+    if scheme is not SequenceScheme.NONE:
+        expected.add("ProgramSequenceError")
+    assert errors == expected
+    assert oracle[0].count(None) > 25
+
+
+class PlainArraySubclass(NandArray):
+    """An array subclass that overrides nothing."""
+
+
+def test_nand_overrides_keep_python(use_core):
+    """A TLC array and an array subclass keep every NAND call on
+    Python (the ``nand`` callouts count them) with the same results;
+    the stock array makes none."""
+    def tlc_run():
+        sim, array, buffer, ftl, _ = build_tlc_system("tlc-flexFTL")
+        controller = StorageController(
+            sim, array, ftl, buffer,
+            SimStats(page_size=array.geometry.page_size))
+        span = int(ftl.logical_pages * 0.7)
+        host = ClosedLoopHost(sim, controller, [sequential_fill(span)]
+                              + mixed_streams(span, 60, seed=2))
+        host.start()
+        sim.run()
+        return outcome(sim, ftl, controller.stats), array.total_programs
+
+    def run():
+        NATIVE.reset_coverage()
+        tlc = tlc_run()
+        tlc_callouts = NATIVE.coverage()["callouts"]["nand"]
+        sub = nand_sequence(7, SequenceScheme.RPS, True, False, "none",
+                            array_cls=PlainArraySubclass)
+        stock = nand_sequence(7, SequenceScheme.RPS, True, False, "none")
+        return tlc, tlc_callouts, sub, stock
+
+    oracle, native, _ = both(use_core, run)
+    assert native[0] == oracle[0]
+    assert native[2][0] == oracle[2][0] == oracle[3][0]
+    # every program, read and erase of the TLC run went through Python
+    assert native[1] >= oracle[0][1] > 0
+    assert native[2][1] > 0
+    assert native[3][1] == 0
+
+
+# ----------------------------------------------------------------------
+# the greedy victim scan
+
+
+def record_victims(ftl, decisions):
+    """Patch ``_begin_gc`` on the instance (the core calls it, it does
+    not mirror it) to record, per GC begin, the chosen block and the
+    candidates in the full set's iteration order with their invalid
+    counts."""
+    begin = ftl._begin_gc
+
+    def recorded(chip_id, victim, background):
+        state = ftl.chips[chip_id]
+        candidates = [(block, ftl.mapping.invalid_count(
+            ftl.mapping.global_block_of(chip_id, block)))
+            for block in state.full_blocks]
+        decisions.append((chip_id, victim, background, candidates))
+        return begin(chip_id, victim, background)
+
+    ftl._begin_gc = recorded
+
+
+def churned_full_sets(ftl, rng):
+    """Rebuild every chip's ``full_blocks`` with the same members through
+    a seeded add/discard history, so the set's iteration order differs
+    from the sorted order."""
+    for state in ftl.chips:
+        members = sorted(state.full_blocks)
+        churned = set(range(64, 64 + 3 * len(members)))
+        for block in rng.sample(members, len(members)):
+            churned.add(block)
+            churned.discard(64 + rng.randrange(3 * len(members)))
+        churned.intersection_update(members)
+        state.full_blocks = churned
+
+
+def victim_run(patch=None, ops=250, seed=7):
+    """A closed loop with eager background GC after a fill whose full
+    sets were churned (and ``patch(ftl)`` applied); records every GC
+    begin."""
+    sim, _, _, ftl, controller = build(ftl_config=FtlConfig(**EAGER_GC))
+    decisions = []
+    record_victims(ftl, decisions)
+    span = int(ftl.logical_pages * 0.8)
+    fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
+    fill.start()
+    sim.run()
+    churned_full_sets(ftl, random.Random(seed))
+    if patch is not None:
+        patch(ftl)
+    _native.reset_coverage()
+    host = ClosedLoopHost(sim, controller, mixed_streams(span, ops,
+                                                         seed=seed))
+    host.start()
+    sim.run()
+    return outcome(sim, ftl, controller.stats), decisions
+
+
+def test_victim_scan_ties_follow_set_order(use_core):
+    """With tied invalid counts the scan keeps the first best block in
+    the set's own iteration order, which here differs from the sorted
+    order: both cores begin the same collections, and every victim is
+    the iteration-order choice."""
+    def run():
+        result, decisions = victim_run()
+        callouts = None
+        if _native.core is not None:
+            callouts = NATIVE.coverage()["callouts"]["ftl"]
+        return result, decisions, callouts
+
+    oracle, native, _ = both(use_core, run)
+    assert native[:2] == oracle[:2]
+    decisions = oracle[1]
+    assert len(decisions) > 10
+    differs = 0
+    for _, victim, _, candidates in decisions:
+        best = max(invalid for _, invalid in candidates)
+        tied = [block for block, invalid in candidates if invalid == best]
+        assert victim == tied[0]
+        differs += tied[0] != min(tied)
+    assert differs > 0
+    # an instance-patched scan is called (and counted) instead
+    calls = []
+
+    def patch(ftl):
+        stock = ftl._select_victim
+
+        def counted(*args):
+            calls.append(args)
+            return stock(*args)
+
+        ftl._select_victim = counted
+
+    use_core(True)
+    patched, decisions = victim_run(patch=patch)
+    assert patched == native[0] and decisions == native[1]
+    assert calls
+    assert NATIVE.coverage()["callouts"]["ftl"] == native[2] + len(calls)
+
+
+def test_victim_scan_overrides_are_called(use_core, monkeypatch):
+    """slcFTL's own ``_select_victim`` (invalid pages counted against
+    the data wordlines) is still the one called, as often as on
+    Python."""
+    calls = []
+    stock = SlcFtl._select_victim
+
+    def counted(self, *args):
+        calls.append(args)
+        return stock(self, *args)
+
+    monkeypatch.setattr(SlcFtl, "_select_victim", counted)
+
+    def run():
+        del calls[:]
+        config = runner.ExperimentConfig(
+            geometry=GEOMETRY,
+            ftl_config=FtlConfig(**EAGER_GC))
+        sim, _, _, ftl, controller = runner.build_system("slcFTL", config)
+        span = int(ftl.logical_pages * 0.8)
+        host = ClosedLoopHost(sim, controller, [sequential_fill(span)]
+                              + mixed_streams(span, 200, seed=4))
+        host.start()
+        sim.run()
+        return outcome(sim, ftl, controller.stats), len(calls)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[1] > 0
+    assert coverage["native"] > 0 and coverage["python"]["patched"] == 0
+
+
+def test_gc_policy_ablation(use_core):
+    """A tiny greedy/cost-benefit ablation grid: byte-identical
+    reports (cost-benefit scans stay on Python)."""
+    config = runner.ExperimentConfig(geometry=GEOMETRY)
+
+    def run():
+        points = run_gc_policy_ablation(total_ops=1500, config=config,
+                                        engine=EngineOptions())
+        return [json.dumps(point.to_dict(), sort_keys=True)
+                for point in points]
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[0] != oracle[1]  # the policies chose differently
+    assert coverage["native"] > 0
+
+
+# ----------------------------------------------------------------------
+# request completion
+
+
+class RecordingCallback:
+    """A custom ``on_complete``: records each completion."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, request, now):
+        self.log.append((request.lpn, now))
+
+
+class SubclassedHost(ClosedLoopHost):
+    """A closed-loop host subclass that overrides nothing."""
+
+
+def think_streams(span, count, seed, think=2e-4):
+    """``mixed_streams`` whose think times are all nonzero."""
+    return [[StreamOp(op.kind, op.lpn, op.npages, think_after=think)
+             for op in stream]
+            for stream in mixed_streams(span, count, seed)]
+
+
+def completion_run(make_host, ops=100, seed=5, cut_at=None):
+    """A filled small device serving ``make_host(sim, controller,
+    span)``, stepped event by event: the outcome, the pop order, any
+    error, and the core's host callouts and completion flushes."""
+    sim, _, _, ftl, controller = build(buffer_pages=16)
+    span = int(ftl.logical_pages * 0.8)
+    fill = ClosedLoopHost(sim, controller, [sequential_fill(span)])
+    fill.start()
+    sim.run()
+    _native.reset_coverage()
+    host, extra = make_host(sim, controller, span)
+    host.start()
+    cut = None
+    if cut_at is not None:
+        cut = ScheduledPowerLoss(sim, controller, sim.now + cut_at)
+    error = None
+    try:
+        order = stepped(sim)
+        if cut is not None:
+            recover_after_power_loss(controller, cut.report)
+            host.resume()
+            order += stepped(sim)
+    except ValueError as exc:
+        error = str(exc)
+        order = None
+    counts = None
+    if _native.core is not None:
+        coverage = NATIVE.coverage()
+        counts = (coverage["callouts"]["host"], coverage["flushes"]["host"])
+    return (outcome(sim, ftl, controller.stats), order, error,
+            extra()), counts
+
+
+def qos_hooked(sim, controller, span):
+    """Two SLO accountants chained through ``_ChainedHook``."""
+    first, second = SloAccountant(), SloAccountant()
+    first.attach(controller)
+    second.attach(controller)
+    assert isinstance(controller.completion_hook, _ChainedHook)
+    host = ClosedLoopHost(sim, controller, mixed_streams(span, 100, 5),
+                          tenant="t0")
+    return host, lambda: json.dumps([first.summary(), second.summary()],
+                                    sort_keys=True)
+
+
+def custom_callback(sim, controller, span):
+    """Open-loop requests carrying a custom ``on_complete``."""
+    log = []
+    rng = random.Random(5)
+    trace = []
+    for index in range(150):
+        kind = RequestKind.READ if rng.random() < 0.4 else RequestKind.WRITE
+        request = Request(sim.now + index * 1e-4, kind,
+                          rng.randrange(span - 2), rng.randint(1, 2))
+        request.on_complete = RecordingCallback(log)
+        trace.append(request)
+    return TraceReplayHost(sim, controller, trace), lambda: list(log)
+
+
+def subclassed_host(sim, controller, span):
+    host = SubclassedHost(sim, controller, think_streams(span, 100, 5))
+    return host, lambda: list(host._cursor)
+
+
+def generator_host(sim, controller, span):
+    """Streams pulled from a scenario's generators (no spec kept)."""
+    scenario = make_preset("oltp", footprint=span, total_ops=400, seed=5)
+    host = StreamingClosedLoopHost(sim, controller, scenario.op_streams())
+    return host, lambda: (host.issued, list(host._pulled))
+
+
+def bad_think(value):
+    def make(sim, controller, span):
+        streams = think_streams(span, 40, 5)
+        op = streams[1][10]
+        streams[1][10] = StreamOp(op.kind, op.lpn, op.npages,
+                                  think_after=value)
+        host = ClosedLoopHost(sim, controller, streams)
+        return host, lambda: list(host._cursor)
+    return make
+
+
+def streaming_with_think(sim, controller, span):
+    scenario = make_preset("webserver", footprint=span, total_ops=400,
+                           seed=6)
+    host = StreamingClosedLoopHost(sim, controller, scenario.op_streams(),
+                                   scenario=scenario)
+    return host, lambda: (host.issued, list(host._pulled))
+
+
+@pytest.mark.parametrize("make_host,stock", [
+    (qos_hooked, False),
+    (custom_callback, False),
+    (subclassed_host, False),
+    (generator_host, True),
+], ids=["qos-hook", "custom-callback", "subclassed-host", "generator"])
+def test_completion_contract(use_core, make_host, stock):
+    """Every kind of completion gives the same outcome and pop order on
+    both cores.  The stock closed-loop completion (a generator-backed
+    streaming host here) runs natively and never drops the core's
+    cache; a completion hook, a custom callback or a host subclass is
+    called, and drops it."""
+    def run():
+        return completion_run(make_host)
+
+    (oracle, _), (native, counts), coverage = both(use_core, run)
+    assert native == oracle
+    assert oracle[2] is None and oracle[3]
+    callouts, flushes = counts
+    if stock:
+        assert callouts == flushes == 0
+    else:
+        assert callouts > 0 and flushes == callouts
+    assert coverage["native"] > 0
+
+
+@pytest.mark.parametrize("value", [-1e-3, float("nan")],
+                         ids=["negative", "nan"])
+def test_completion_bad_think_time(use_core, value):
+    """A negative or NaN think time raises the same ``ValueError`` from
+    the same event, leaving the same state behind."""
+    def run():
+        return completion_run(bad_think(value))
+
+    (oracle, _), (native, _), _ = both(use_core, run)
+    assert native == oracle
+    assert oracle[2] == ("delay must not be NaN" if value != value
+                         else f"delay must be non-negative, got {value}")
+
+
+def test_completion_power_cut_and_resume(use_core):
+    """A power cut mid-run halts the queue with completions in flight;
+    after recovery ``resume()`` re-issues the stalled streams."""
+    def run():
+        return completion_run(streaming_with_think, cut_at=0.02)
+
+    (oracle, _), (native, counts), _ = both(use_core, run)
+    assert native == oracle
+    assert counts == (0, 0)
+
+
+def test_snapshot_bytes_with_think_times(use_core):
+    """A list-backed closed loop with think times pickled mid-run: the
+    queued issue events the native completion scheduled pickle to the
+    same bytes, and resume to the same result."""
+    def run():
+        sim, _, _, ftl, controller = build(buffer_pages=16)
+        host = ClosedLoopHost(sim, controller,
+                              think_streams(300, 120, seed=3))
+        host.start()
+        sim.run(max_events=900)
+        blob = pickle.dumps((sim, controller, host),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        sim, controller, _ = pickle.loads(blob)
+        sim.run()
+        return blob, outcome(sim, controller.ftl, controller.stats)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert coverage["flushes"]["host"] == 0
+
+
+# ----------------------------------------------------------------------
+# deterministic callout counters
+
+
+def no_flushes(**causes):
+    """A ``flushes`` dict: zero for every cause but ``causes``."""
+    counts = dict.fromkeys(("nand", "ftl", "host", "scenario", "physics",
+                            "tracer", "kernel", "controller", "handler"),
+                           0)
+    counts.update(causes)
+    return counts
+
+
+def fig8_write_coverage():
+    """perfbench ``fig8_write`` (seed 1, scale 0.05) on the core."""
+    NATIVE.reset_coverage()
+    result = harness.run_perfbench(workloads=["fig8_write"], scale=0.05,
+                                   seed=1)
+    return result.timings["fig8_write"].events, NATIVE.coverage()
+
+
+def armed_webserver_coverage():
+    """The armed run of ``test_armed_run_coverage_contract``."""
+    sim, ftl, controller, stats, tracer, engine, host = armed_system(
+        ops=2000, seed=1, geometry=runner.ExperimentConfig().geometry)
+    NATIVE.reset_coverage()
+    host.start()
+    sim.run()
+    tracer.detach()
+    return sim.processed, NATIVE.coverage()
+
+
+@pytest.mark.parametrize("workload,events,native,callouts,flushes", [
+    (fig8_write_coverage, 23693, 23693,
+     {"nand": 0, "ftl": 1563, "host": 0, "scenario": 0, "physics": 0,
+      "tracer": 0, "kernel": 0, "controller": 0},
+     no_flushes()),
+    (armed_webserver_coverage, 26830, 5009,
+     {"nand": 0, "ftl": 645, "host": 0, "scenario": 1928, "physics": 5413,
+      "tracer": 8, "kernel": 0, "controller": 0},
+     no_flushes(handler=82)),
+], ids=["fig8_write", "webserver_armed"])
+def test_callout_counters(use_core, workload, events, native, callouts,
+                          flushes):
+    """The core's calls into Python, by layer, and its cache flushes,
+    pinned on two seeded runs.  They are plain counts, deterministic
+    per seed, so a coverage regression fails here whatever the host's
+    speed.  NAND calls and request completions never leave the core,
+    and nothing drops its cache but the events handled in Python (the
+    armed run's retry ladder).  A change that moves work into or out
+    of the core updates these numbers on purpose."""
+    use_core(True)
+    processed, coverage = workload()
+    assert processed == events
+    assert coverage["native"] == native
+    assert coverage["callouts"] == callouts
+    assert coverage["flushes"] == flushes

@@ -189,7 +189,7 @@ class BaseFtl(abc.ABC):
         self.write_buffer = write_buffer
         self.config = config or FtlConfig()
         self.wordlines = self.geometry.wordlines_per_block
-        # geometry scalars used by the per-write inlined ppn math
+        # geometry scalars of the FTL's own address arithmetic
         self._cpc = self.geometry.chips_per_channel
         self._ppb = self.geometry.pages_per_block
         self._pages_per_chip = self.geometry.pages_per_chip
@@ -324,7 +324,7 @@ class BaseFtl(abc.ABC):
 
     def _host_write_op(self, chip_id: int, now: float) -> Optional[FlashOp]:
         buffer = self.write_buffer
-        if not buffer._live:  # is_empty, inlined (polled per idle chip)
+        if buffer.is_empty:
             return None
         alloc = self._allocate_host_page(chip_id, now)
         if alloc is None:
@@ -342,14 +342,9 @@ class BaseFtl(abc.ABC):
             return None
         addr, ptype = alloc
         entry = buffer.pop()
-        # ppn math inlined (geometry.ppn re-validates an address the
-        # allocator just built)
-        ppn = (addr.channel * self._cpc + addr.chip) \
-            * self._pages_per_chip + addr.block * self._ppb + addr.page
+        ppn = self.geometry.ppn(addr)
         self.mapping.map_write(entry.lpn, ppn)
-        # write-clock accounting, inlined (see _note_block_write)
-        self._write_clock += 1
-        self._block_write_stamp[ppn // self._ppb] = self._write_clock
+        self._note_block_write(ppn // self._ppb)
         self.host_programs += 1
         hook = self._after_host_program
         if hook is not None:
@@ -452,14 +447,9 @@ class BaseFtl(abc.ABC):
                 return None
             target_addr, target_ptype = target
             source_addr = self.geometry.address_of(ppn)
-            target_ppn = (target_addr.channel * self._cpc
-                          + target_addr.chip) * self._pages_per_chip \
-                + target_addr.block * self._ppb + target_addr.page
+            target_ppn = self.geometry.ppn(target_addr)
             self.mapping.map_write(lpn, target_ppn)
-            # write-clock accounting, inlined (see _note_block_write)
-            self._write_clock += 1
-            self._block_write_stamp[target_ppn // self._ppb] = \
-                self._write_clock
+            self._note_block_write(target_ppn // self._ppb)
             self.gc_programs += 1
             job.copied += 1
             hook = self._after_gc_program

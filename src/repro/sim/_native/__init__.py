@@ -217,21 +217,33 @@ def _stock_refs() -> Dict[str, Any]:
     from repro.core.flexftl import FlexFtl
     from repro.core.page_allocator import PolicyManager, QuotaTracker
     from repro.ftl.base import BaseFtl
-    from repro.ftl.cursor import PhaseCursor
+    from repro.ftl.cursor import FpsCursor, PhaseCursor
     from repro.ftl.mapping import MappingTable
+    from repro.ftl.pageftl import PageFtl
     from repro.nand.array import NandArray
     from repro.nand.block import Block
     from repro.nand.chip import Chip
     from repro.nand.geometry import NandGeometry, PhysicalPageAddress
     from repro.nand.page_types import PageType
+    from repro.qos.arbiter import (
+        Arbiter,
+        DeficitRoundRobinArbiter,
+        FifoArbiter,
+        RoundRobinArbiter,
+        WeightedRoundRobinArbiter,
+    )
+    from repro.qos.host import MultiTenantHost, TenantCompletion
+    from repro.qos.queues import QueuedCommand, SubmissionQueue
+    from repro.qos.slo import SloAccountant, TenantAccount, _ChainedHook
+    from repro.qos.throttle import AdmissionGate
     from repro.scenarios.host import StreamingClosedLoopHost
     from repro.sim import kernel
     from repro.sim.controller import StorageController
     from repro.sim.host import ClosedLoopHost, StreamCompletion
     from repro.sim.kernel import Event, Simulator
     from repro.sim.ops import FlashOp, OpKind
-    from repro.sim.queues import BufferedWrite, Request, RequestKind, \
-        WriteBuffer
+    from repro.sim.queues import REQUEST_OK, BufferedWrite, Request, \
+        RequestKind, WriteBuffer
     from repro.sim.stats import SimStats
 
     replaced = (
@@ -239,31 +251,53 @@ def _stock_refs() -> Dict[str, Any]:
         (StorageController, ("_on_op_done", "_pump", "_drain_admissions",
                              "_next_read_op", "_execute",
                              "_complete_read_page", "_complete_request",
-                             "submit", "_submit_read")),
+                             "submit", "_submit_read", "host_idle",
+                             "pending_admissions")),
         (FlexFtl, ("next_op", "_gc_step", "_allocate_gc_page",
                    "_allocate_host_page", "_lsb_available", "_take_msb",
                    "_take_lsb",
                    "wants_background_gc", "_predictor_wants_gc",
                    "background_op", "_flush_parity_invalidations")),
-        (BaseFtl, ("next_op", "_host_write_op", "_page_address",
+        (BaseFtl, ("next_op", "_host_write_op", "_gc_step",
+                   "_note_block_write", "_page_address",
                    "wants_background_gc", "_bg_min_invalid",
                    "background_op", "_select_victim", "_victim_score")),
+        (PageFtl, ("_allocate", "_allocate_host_page",
+                   "_allocate_gc_page")),
+        (FpsCursor, ("take", "done")),
         (PolicyManager, ("choose", "_alternate", "_record")),
         (TwoPhaseBlockManager, ("take_msb", "has_slow_block",
                                 "free_lsb_pages")),
         (QuotaTracker, ("note_msb_write",)),
         (MappingTable, ("lookup", "map_write", "global_block_of",
-                        "invalid_count")),
+                        "invalid_count", "note_block_erased")),
         (NandArray, ("program", "read", "erase", "is_programmed",
                      "chip_at")),
         (Chip, ("program", "read", "erase")),
         (Block, ("program", "read", "erase", "is_programmed")),
-        (NandGeometry, ("address_of", "validate", "chip_id")),
-        (WriteBuffer, ("contains", "pop", "push", "utilization")),
-        (SimStats, ("note_host_page_write", "note_request_complete")),
+        (NandGeometry, ("address_of", "validate", "chip_id", "ppn",
+                        "chip_coords")),
+        (WriteBuffer, ("contains", "pop", "push", "utilization", "__len__",
+                       "is_empty")),
+        (SimStats, ("note_host_page_write", "note_request_complete",
+                    "note_arrival")),
         (StreamingClosedLoopHost, ("_issue", "_advance")),
         (ClosedLoopHost, ("_issue", "_advance")),
         (StreamCompletion, ("__init__", "__call__")),
+        (Request, ("__init__", "__post_init__")),
+        (MultiTenantHost, ("_enqueue", "_on_done", "_pump", "_wake")),
+        (TenantCompletion, ("__init__", "__call__")),
+        (SubmissionQueue, ("push", "pop", "is_empty", "head", "__len__")),
+        (QueuedCommand, ("__init__",)),
+        (AdmissionGate, ("can_admit", "note_dispatch", "note_complete")),
+        (Arbiter, ("note_empty",)),
+        (FifoArbiter, ("select",)),
+        (RoundRobinArbiter, ("select",)),
+        (WeightedRoundRobinArbiter, ("select",)),
+        (DeficitRoundRobinArbiter, ("select", "note_empty")),
+        (SloAccountant, ("record", "account")),
+        (TenantAccount, ("record",)),
+        (_ChainedHook, ("__call__",)),
     )
     stock = tuple((cls, name, _stock(cls, name))
                   for cls, names in replaced for name in names)
@@ -286,6 +320,45 @@ def _stock_refs() -> Dict[str, Any]:
         "SimStats": SimStats,
         "Event": Event,
         "StreamCompletion": StreamCompletion,
+        "FpsCursor": FpsCursor,
+        "MultiTenantHost": MultiTenantHost,
+        "TenantCompletion": TenantCompletion,
+        "SubmissionQueue": SubmissionQueue,
+        "QueuedCommand": QueuedCommand,
+        "AdmissionGate": AdmissionGate,
+        "SloAccountant": SloAccountant,
+        "TenantAccount": TenantAccount,
+        "ChainedHook": _ChainedHook,
+        "FifoArbiter": FifoArbiter,
+        "RoundRobinArbiter": RoundRobinArbiter,
+        "WeightedRoundRobinArbiter": WeightedRoundRobinArbiter,
+        "DeficitRoundRobinArbiter": DeficitRoundRobinArbiter,
+        "fifo_select": _stock(FifoArbiter, "select"),
+        "rr_select": _stock(RoundRobinArbiter, "select"),
+        "wrr_select": _stock(WeightedRoundRobinArbiter, "select"),
+        "drr_select": _stock(DeficitRoundRobinArbiter, "select"),
+        "note_empty": _stock(Arbiter, "note_empty"),
+        "drr_note_empty": _stock(DeficitRoundRobinArbiter, "note_empty"),
+        "base_next_op": _stock(BaseFtl, "next_op"),
+        "host_write_op": _stock(BaseFtl, "_host_write_op"),
+        "gc_step": _stock(BaseFtl, "_gc_step"),
+        "note_block_write": _stock(BaseFtl, "_note_block_write"),
+        "note_block_erased": _stock(MappingTable, "note_block_erased"),
+        "page_allocate": _stock(PageFtl, "_allocate"),
+        "page_alloc_host": _stock(PageFtl, "_allocate_host_page"),
+        "page_alloc_gc": _stock(PageFtl, "_allocate_gc_page"),
+        "page_address": _stock(BaseFtl, "_page_address"),
+        "note_arrival": _stock(SimStats, "note_arrival"),
+        "qos_enqueue": _stock(MultiTenantHost, "_enqueue"),
+        "qos_wake": _stock(MultiTenantHost, "_wake"),
+        "slo_record": _stock(SloAccountant, "record"),
+        "queue_push": _stock(SubmissionQueue, "push"),
+        "queue_pop": _stock(SubmissionQueue, "pop"),
+        "can_admit": _stock(AdmissionGate, "can_admit"),
+        "note_dispatch": _stock(AdmissionGate, "note_dispatch"),
+        "note_complete": _stock(AdmissionGate, "note_complete"),
+        "ERASE": OpKind.ERASE,
+        "REQUEST_OK": REQUEST_OK,
         "push": _stock(Simulator, "_push"),
         "on_op_done": _stock(StorageController, "_on_op_done"),
         "execute": _stock(StorageController, "_execute"),

@@ -18,27 +18,33 @@
  *     (repro.sim.host / repro.scenarios.host): submit(), and
  *     _complete_request -> SimStats.note_request_complete ->
  *     StreamCompletion -> _advance -> Simulator.schedule;
- *   - flexFTL's host-write next_op, which fuses the general methods
- *     FlexFtl.next_op -> BaseFtl.next_op -> _host_write_op ->
- *     FlexFtl._allocate_host_page -> PolicyManager.choose / _take_msb
- *     -> WriteBuffer.pop -> MappingTable.map_write, and the
- *     BaseFtl._gc_step relocation step (repro.core.flexftl /
- *     repro.ftl.base).
+ *   - the QoS front-end (repro.qos): MultiTenantHost._enqueue, _pump,
+ *     _wake and _on_done (through TenantCompletion) with the
+ *     submission queues, the admission gate, the stock arbiters and
+ *     SLO accounting as the completion hook;
+ *   - one FTL write path for every FTL (repro.ftl.base):
+ *     BaseFtl.next_op -> _host_write_op -> WriteBuffer.pop ->
+ *     NandGeometry.ppn -> MappingTable.map_write -> _note_block_write,
+ *     and _gc_step (relocation and the victim's erase), with the FTL's
+ *     allocation natively for flexFTL (FlexFtl._allocate_host_page /
+ *     _allocate_gc_page: PolicyManager.choose, _take_msb, _take_lsb's
+ *     installed-fast-block case) and PageFtl._allocate (the FPS
+ *     cursor), and called for any other allocator.
  *
  * The Python code stays the reference ("oracle"): every function here
  * mirrors the plain general Python methods named in its comment, reads
  * and writes the very same Python objects in the same order, and calls
- * the Python method for every rare branch (fault work, fast-block
- * install, parity enqueue, GC begin and erase, errors).  NAND
- * operations run natively only while the controller's bound _array_*
- * methods are the stock NandArray ones, so a TLC array's overrides
- * still apply.  The rule for the Python side: a method this file mirrors
- * is written plainly (the speed lives here), while a method this file
- * calls into may stay hand-inlined (FlexFtl._take_lsb).  Keep each
- * function in sync with the methods named in its comment; the
- * differential suite (tests/test_native_core.py) pins the two
- * together, and _stock_refs() lists every mirrored method, so a
- * patched one keeps the run on Python.
+ * the Python method for every rare branch (fault work, fast-block or
+ * FPS-cursor install, a block's last page, parity enqueue, GC begin,
+ * errors).  NAND operations run natively only while the controller's
+ * bound _array_* methods are the stock NandArray ones, so a TLC array's
+ * overrides still apply.  The rule for the Python side: a method this
+ * file mirrors is written plainly (the speed lives here), while a
+ * method this file calls into may stay hand-inlined (FlexFtl._take_lsb).
+ * Keep each function in sync with the methods named in its comment; the
+ * differential suites (tests/test_native_core.py, test_native_qos.py)
+ * pin the two together, and _stock_refs() lists every mirrored method,
+ * so a patched one keeps the run on Python.
  *
  * An event runs natively only when the stock code is in place: see
  * controller_reason() and stock_classes().  Otherwise its Python
@@ -112,7 +118,20 @@
     X(write_latencies) X(last_completion) X(_advance) X(_iters)         \
     X(_pulled) X(_issue) X(schedule) X(_push) X(gc_policy)              \
     X(full_blocks) X(invalid_count) X(_victim_score) X(greedy)          \
-    X(note_request_complete) X(completed_at)
+    X(note_request_complete) X(completed_at) X(_host_write_op)          \
+    X(_note_block_write) X(_allocate) X(_allocate_host_page)              \
+    X(_allocate_gc_page) X(_order) X(_pos) X(_page_address) X(ppn)        \
+    X(note_block_erased) X(_after_gc_complete) X(victim_block)            \
+    X(chip_coords) X(note_arrival) X(is_empty) X(tenants) X(queues)       \
+    X(buckets) X(arbiter) X(gate) X(_metrics) X(_enqueue)                 \
+    X(_wake_at) X(_issued) X(_pump) X(max_outstanding)                    \
+    X(max_pending_admissions) X(outstanding) X(blocked_decisions)         \
+    X(max_depth) X(enqueued) X(max_depth_seen) X(depth_samples)           \
+    X(weights) X(_credits) X(_deficit) X(_credited) X(quantum) X(select)  \
+    X(note_empty) X(can_admit) X(note_dispatch) X(note_complete) X(push)  \
+    X(accounts) X(record) X(target) X(read_latency)                     \
+    X(write_latency) X(read_pages) X(read_violations) X(write_violations) \
+    X(status) X(seq) X(request)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
@@ -126,7 +145,19 @@ static int bound;
 static PyTypeObject *T_Simulator, *T_Controller, *T_FlexFtl, *T_Mapping,
     *T_WriteBuffer, *T_Geometry, *T_FlashOp, *T_BufferedWrite, *T_Request,
     *T_PPA, *T_StreamHost, *T_ClosedHost, *T_Array, *T_Chip, *T_Block,
-    *T_SimStats, *T_Event, *T_Completion;
+    *T_SimStats, *T_Event, *T_Completion, *T_FpsCursor, *T_QosHost,
+    *T_TenantCompletion, *T_SubQueue, *T_QueuedCommand, *T_Gate,
+    *T_SloAccountant, *T_TenantAccount, *T_ChainedHook;
+/* the stock arbiters, in ARB_* order */
+enum { ARB_FIFO = 0, ARB_RR, ARB_WRR, ARB_DRR, N_ARBITERS };
+static PyTypeObject *T_Arbiter[N_ARBITERS];
+static PyObject *F_select[N_ARBITERS], *F_note_empty[N_ARBITERS];
+static PyObject *F_base_next_op, *F_host_write_op, *F_gc_step,
+    *F_note_block_write, *F_page_allocate, *F_page_alloc_host,
+    *F_page_alloc_gc, *F_page_address, *F_note_arrival, *F_qos_enqueue,
+    *F_qos_wake, *F_slo_record, *F_queue_push, *F_queue_pop,
+    *F_can_admit, *F_note_dispatch, *F_note_complete, *F_note_block_erased;
+static PyObject *K_ERASE, *REQUEST_OK, *FLOAT_ZERO;
 static PyObject *F_push, *F_on_op_done, *F_execute, *F_flex_next_op,
     *F_lookup, *F_stream_issue, *F_closed_issue, *F_base_wants_gc,
     *F_flex_wants_gc, *F_bg_min_invalid, *F_predictor_wants_gc,
@@ -151,6 +182,10 @@ static Py_ssize_t RQ_time, RQ_kind, RQ_lpn, RQ_npages,
     RQ_pages_remaining, RQ_submitted_at, RQ_completed_at, RQ_on_complete;
 static Py_ssize_t BW_lpn, BW_enqueued_at, BW_request;
 static Py_ssize_t SC_host, SC_index, SC_think;
+static Py_ssize_t RQ_tenant, RQ_status, RQ_error;
+static Py_ssize_t QC_request, QC_seq, QC_enqueued_at;
+static Py_ssize_t TC_host, TC_tenant, TC_stream, TC_think;
+static Py_ssize_t CH_first, CH_second;
 
 /* ------------------------------------------------------------------ */
 /* coverage counters                                                  */
@@ -441,6 +476,19 @@ call_method2(PyObject *o, PyObject *name, PyObject *a, PyObject *b)
         name, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
 }
 
+/* ``list.append(item)`` */
+static int
+list_append(PyObject *list, PyObject *item)
+{
+    PyObject *res;
+    if (PyList_CheckExact(list))
+        return PyList_Append(list, item);
+    if ((res = call_method1(list, S_append, item)) == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
 /* ``a < b`` for two ints (fast when both are exact, small ints) */
 static int
 int_lt(PyObject *a, PyObject *b)
@@ -657,6 +705,19 @@ bound_to(PyObject *o, PyObject *name, PyObject *func)
     return r;
 }
 
+/* 1 when ``o.name`` is ``expected``, 0 when not, -1 on error */
+static int
+attr_is(PyObject *o, PyObject *name, PyObject *expected)
+{
+    PyObject *v = PyObject_GetAttr(o, name);
+    int r;
+    if (v == NULL)
+        return -1;
+    r = v == expected;
+    Py_DECREF(v);
+    return r;
+}
+
 /* Whether the controller's native path applies right now: WHY_OK, a
  * fallback reason, or -1 on error. */
 static int
@@ -688,20 +749,22 @@ controller_reason(PyObject *ctrl)
 /*
  * References the hot paths would otherwise look up on every event:
  * the controller's bound methods and containers, the kernel's queue
- * containers, flexFTL's tables and the mapping lists, plus their
- * constant scalars.  A run() fills the cache lazily and drops it
- * whenever Python code that could rebind one of them has run: every
- * event handled in Python (a power cut's halt() and
- * reset_after_power_loss() rebind the kernel's and the controller's
- * lists), and every host-side callback reached from native code that
- * the core does not mirror (a completion hook, a custom on_complete, an
- * op callback, idle-time FTL work, a non-stock idle-time query).  The
- * stock closed-loop completion runs here and keeps the cache; so does
- * the device-internal Python code the core calls (a non-stock NAND
- * array, flexFTL's rare branches and allocation hooks, a non-greedy
- * victim scan, the physics engine, the tracer, a streaming host's op
- * generator), which never rebinds them.  Mutable scalars (levels,
- * counters, cursors) are never cached.
+ * containers, the FTL's tables and the mapping lists, a QoS host's
+ * queues, arbiter and gate, plus their constant scalars.  A run() fills
+ * the cache lazily and drops it whenever Python code that could rebind
+ * one of them has run: every event handled in Python (a power cut's
+ * halt() and reset_after_power_loss() rebind the kernel's and the
+ * controller's lists), and every host-side callback reached from native
+ * code that the core does not mirror (a completion hook other than SLO
+ * accounting, a custom on_complete, an op callback, idle-time FTL work,
+ * a non-stock idle-time query, fault recovery).  The stock closed-loop
+ * and QoS completions run here and keep the cache; so does the
+ * device-internal Python code the core calls (a non-stock NAND array,
+ * the FTLs' rare branches, allocators and hooks, a non-greedy victim
+ * scan, the physics engine, the tracer, a streaming host's op
+ * generator, the SLO accountant opening an account), which never
+ * rebinds them.  Mutable scalars (levels, counters, cursors) are never
+ * cached.
  */
 typedef struct {
     /* the running simulator and the current event's time (borrowed) */
@@ -710,7 +773,7 @@ typedef struct {
     /* controller group: valid while ctrl != NULL */
     PyObject *ctrl;
     int reason;                 /* controller_reason(ctrl) */
-    int flex;                   /* _ftl_next_op is a stock FlexFtl's */
+    int ftln;                   /* _ftl_next_op natively: FTLN_* */
     PyObject *sim, *busy, *idle, *in_flight, *queues, *admissions, *buffer,
         *channel_free, *program, *read, *erase, *push, *next_op, *ftl,
         *lookup, *geometry, *array, *seq, *cancelled, *capacity;
@@ -754,11 +817,25 @@ typedef struct {
     /* a stock, non-coalescing write buffer, or fifo == NULL */
     PyObject *fifo, *resident;
     long long cap;
-    /* flexFTL group: valid while fftl != NULL */
-    PyObject *fftl, *pinv, *chips, *managers, *policy, *decisions, *quota,
-        *coords, *mapping, *stamps, *fbuffer;
-    long long reserve, interval, f_ppc, f_ppb, f_cpc;
+    /* FTL group (the write path of the FTL behind a stock next_op):
+     * valid while fftl != NULL.  ``alloc`` is how it allocates
+     * (ALLOC_*); hw/gs/nbw say whether _host_write_op, _gc_step and
+     * _note_block_write are the stock BaseFtl methods; fps_page whether
+     * its _page_address is.  The geometry's sizes back geometry.ppn. */
+    PyObject *fftl, *chips, *mapping, *stamps, *fbuffer, *fgeometry;
+    long long f_ppc, f_ppb, f_cpc, fg_channels, fg_cpc, fg_bpc, fg_ppb,
+        fg_chips;
+    int alloc, hw_stock, gs_stock, nbw_stock;
+    /* flexFTL's allocation (alloc == ALLOC_FLEX) */
+    PyObject *pinv, *managers, *policy, *decisions, *quota, *coords;
+    long long reserve, interval;
     double u_high, u_low;
+    /* PageFtl._allocate's active cursors (alloc == ALLOC_FPS) */
+    PyObject *active;
+    /* the QoS host last found stock (qos_stock) and its containers */
+    PyObject *q_host, *q_tenants, *q_queues, *q_cursor, *q_arbiter,
+        *q_gate;
+    int q_arb;
     /* mapping group: valid while map != NULL */
     PyObject *map, *l2p, *p2l, *valid;
     long long logical, m_ppb;
@@ -780,16 +857,29 @@ static void
 ctx_flush_ftl(Ctx *cx)
 {
     Py_CLEAR(cx->fftl);
-    Py_CLEAR(cx->pinv);
     Py_CLEAR(cx->chips);
+    Py_CLEAR(cx->mapping);
+    Py_CLEAR(cx->stamps);
+    Py_CLEAR(cx->fbuffer);
+    Py_CLEAR(cx->fgeometry);
+    Py_CLEAR(cx->pinv);
     Py_CLEAR(cx->managers);
     Py_CLEAR(cx->policy);
     Py_CLEAR(cx->decisions);
     Py_CLEAR(cx->quota);
     Py_CLEAR(cx->coords);
-    Py_CLEAR(cx->mapping);
-    Py_CLEAR(cx->stamps);
-    Py_CLEAR(cx->fbuffer);
+    Py_CLEAR(cx->active);
+}
+
+static void
+ctx_flush_qos(Ctx *cx)
+{
+    Py_CLEAR(cx->q_host);
+    Py_CLEAR(cx->q_tenants);
+    Py_CLEAR(cx->q_queues);
+    Py_CLEAR(cx->q_cursor);
+    Py_CLEAR(cx->q_arbiter);
+    Py_CLEAR(cx->q_gate);
 }
 
 static void
@@ -836,6 +926,7 @@ ctx_flush(Ctx *cx)
     cx->epoch++;
     ctx_flush_ftl(cx);
     ctx_flush_mapping(cx);
+    ctx_flush_qos(cx);
 }
 
 /* ctx_flush after a callout into ``layer`` (or F_HANDLER) */
@@ -848,6 +939,10 @@ ctx_flush_after(Ctx *cx, int layer)
 
 enum { LAZY_UNKNOWN = -1, LAZY_NO, LAZY_YES };
 enum { GCQ_UNKNOWN = -1, GCQ_PYTHON, GCQ_BASE, GCQ_FLEX };
+/* the controller's next_op: called, BaseFtl.next_op, FlexFtl.next_op */
+enum { FTLN_PYTHON = 0, FTLN_BASE, FTLN_FLEX };
+/* an FTL's page allocation: called, flexFTL's, PageFtl._allocate's */
+enum { ALLOC_PYTHON = 0, ALLOC_FLEX, ALLOC_FPS };
 
 /* Classify cx->ftl's wants_background_gc: the stock BaseFtl or FlexFtl
  * function (evaluated natively by wants_background_gc below), or
@@ -940,10 +1035,17 @@ ctx_controller(Ctx *cx, PyObject *ctrl)
     Py_DECREF(v);
     if (c < 0)
         goto error;
-    /* flexFTL's next_op natively: the stock method of a FlexFtl */
-    cx->flex = PyMethod_Check(cx->next_op)
-        && PyMethod_GET_FUNCTION(cx->next_op) == F_flex_next_op
-        && Py_TYPE(PyMethod_GET_SELF(cx->next_op)) == T_FlexFtl;
+    /* the FTL's next_op natively: FlexFtl's on an exact FlexFtl, or
+     * BaseFtl's on the controller's FTL (any FTL not overriding it) */
+    cx->ftln = FTLN_PYTHON;
+    if (PyMethod_Check(cx->next_op)) {
+        PyObject *fn = PyMethod_GET_FUNCTION(cx->next_op);
+        PyObject *self = PyMethod_GET_SELF(cx->next_op);
+        if (fn == F_flex_next_op && Py_TYPE(self) == T_FlexFtl)
+            cx->ftln = FTLN_FLEX;
+        else if (fn == F_base_next_op && self == cx->ftl)
+            cx->ftln = FTLN_BASE;
+    }
     /* the tracer's op capture */
     if ((v = GA(ctrl, _op_raw)) == NULL)
         goto error;
@@ -1011,48 +1113,94 @@ error:
     return -1;
 }
 
-/* Load the flexFTL group for ``ftl`` (an exact FlexFtl). */
+/* Load the FTL group for ``ftl``, the FTL behind the controller's stock
+ * next_op (no-op when it is loaded). */
 static int
 ctx_ftl(Ctx *cx, PyObject *ftl)
 {
     PyObject *v, *config;
-    int c;
+    int c, fps[4] = {0, 0, 0, 0};
 
     if (cx->fftl == ftl)
         return 0;
     ctx_flush_ftl(cx);
-    if ((cx->pinv = GA(ftl, _pending_invalidations)) == NULL
-            || (cx->chips = GA(ftl, chips)) == NULL
-            || (cx->managers = GA(ftl, managers)) == NULL
-            || (cx->policy = GA(ftl, policy)) == NULL
-            || (cx->decisions = GA(cx->policy, decisions)) == NULL
-            || (cx->quota = GA(ftl, quota)) == NULL
-            || (cx->coords = GA(ftl, _coords)) == NULL
+    if ((cx->chips = GA(ftl, chips)) == NULL
             || (cx->mapping = GA(ftl, mapping)) == NULL
             || (cx->stamps = GA(ftl, _block_write_stamp)) == NULL
-            || (cx->fbuffer = GA(ftl, write_buffer)) == NULL)
+            || (cx->fbuffer = GA(ftl, write_buffer)) == NULL
+            || (cx->fgeometry = GA(ftl, geometry)) == NULL)
         goto error;
-    if (ga_ll(ftl, S_parity_interval, &cx->interval) < 0
-            || ga_ll(ftl, S__pages_per_chip, &cx->f_ppc) < 0
+    if (ga_ll(ftl, S__pages_per_chip, &cx->f_ppc) < 0
             || ga_ll(ftl, S__ppb, &cx->f_ppb) < 0
             || ga_ll(ftl, S__cpc, &cx->f_cpc) < 0)
         goto error;
-    if ((config = GA(ftl, config)) == NULL)
+    cx->fg_chips = -1;               /* geometry.ppn calls Python */
+    if (Py_TYPE(cx->fgeometry) == T_Geometry
+            && (ga_ll(cx->fgeometry, S_channels, &cx->fg_channels) < 0
+                || ga_ll(cx->fgeometry, S_chips_per_channel, &cx->fg_cpc) < 0
+                || ga_ll(cx->fgeometry, S_blocks_per_chip, &cx->fg_bpc) < 0
+                || ga_ll(cx->fgeometry, S_pages_per_block, &cx->fg_ppb) < 0))
         goto error;
-    c = ga_ll(config, S_gc_reserve_blocks, &cx->reserve);
-    Py_DECREF(config);
-    if (c < 0 || (config = GA(cx->policy, config)) == NULL)
+    if (Py_TYPE(cx->fgeometry) == T_Geometry)
+        cx->fg_chips = cx->fg_channels * cx->fg_cpc;
+    if ((cx->hw_stock = bound_to(ftl, S__host_write_op, F_host_write_op)) < 0
+            || (cx->gs_stock = bound_to(ftl, S__gc_step, F_gc_step)) < 0
+            || (cx->nbw_stock = bound_to(ftl, S__note_block_write,
+                                         F_note_block_write)) < 0)
         goto error;
-    c = -1;
-    if ((v = GA(config, u_high)) != NULL && as_double(v, &cx->u_high) == 0) {
-        Py_DECREF(v);
-        if ((v = GA(config, u_low)) != NULL && as_double(v, &cx->u_low) == 0)
-            c = 0;
+    cx->alloc = ALLOC_PYTHON;
+    if (Py_TYPE(ftl) == T_FlexFtl) {
+        if ((cx->pinv = GA(ftl, _pending_invalidations)) == NULL
+                || (cx->managers = GA(ftl, managers)) == NULL
+                || (cx->policy = GA(ftl, policy)) == NULL
+                || (cx->decisions = GA(cx->policy, decisions)) == NULL
+                || (cx->quota = GA(ftl, quota)) == NULL
+                || (cx->coords = GA(ftl, _coords)) == NULL
+                || ga_ll(ftl, S_parity_interval, &cx->interval) < 0)
+            goto error;
+        if ((config = GA(ftl, config)) == NULL)
+            goto error;
+        c = ga_ll(config, S_gc_reserve_blocks, &cx->reserve);
+        Py_DECREF(config);
+        if (c < 0 || (config = GA(cx->policy, config)) == NULL)
+            goto error;
+        c = -1;
+        if ((v = GA(config, u_high)) != NULL
+                && as_double(v, &cx->u_high) == 0) {
+            Py_DECREF(v);
+            if ((v = GA(config, u_low)) != NULL
+                    && as_double(v, &cx->u_low) == 0)
+                c = 0;
+        }
+        Py_XDECREF(v);
+        Py_DECREF(config);
+        if (c < 0)
+            goto error;
+        cx->alloc = ALLOC_FLEX;
     }
-    Py_XDECREF(v);
-    Py_DECREF(config);
-    if (c < 0)
-        goto error;
+    else {
+        /* PageFtl._allocate behind both allocation methods (a PageFtl
+         * has _allocate: it is looked up only then) */
+        if ((fps[0] = bound_to(ftl, S__allocate_host_page,
+                               F_page_alloc_host)) < 0
+                || (fps[0] && (fps[1] = bound_to(ftl, S__allocate_gc_page,
+                                                 F_page_alloc_gc)) < 0)
+                || (fps[0] && fps[1]
+                    && (fps[2] = bound_to(ftl, S__allocate,
+                                          F_page_allocate)) < 0)
+                || (fps[0] && fps[1] && fps[2]
+                    && (fps[3] = bound_to(ftl, S__page_address,
+                                          F_page_address)) < 0))
+            goto error;
+        if (fps[0] && fps[1] && fps[2] && fps[3]) {
+            if ((cx->active = GA(ftl, _active)) == NULL)
+                goto error;
+            if (PyList_CheckExact(cx->active))
+                cx->alloc = ALLOC_FPS;
+            else
+                Py_CLEAR(cx->active);
+        }
+    }
     Py_INCREF(ftl);
     cx->fftl = ftl;
     return 0;
@@ -1504,18 +1652,12 @@ nand_program(Ctx *cx, PyObject *addr, PyObject *data, double *lat)
         goto done;
     Py_CLEAR(v);
     if (c) {
-        PyObject *index = PyLong_FromLongLong(page), *res;
+        PyObject *index = PyLong_FromLongLong(page);
         if (index == NULL || (v = GA(blk, program_history)) == NULL) {
             Py_XDECREF(index);
             goto done;
         }
-        if (PyList_CheckExact(v))
-            c = PyList_Append(v, index);
-        else {
-            res = call_method1(v, S_append, index);
-            c = res == NULL ? -1 : 0;
-            Py_XDECREF(res);
-        }
+        c = list_append(v, index);
         Py_DECREF(index);
         Py_CLEAR(v);
         if (c < 0)
@@ -1677,8 +1819,17 @@ done:
 
 static PyObject *flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip,
                               long long cid, PyObject *now);
-static PyObject *flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip,
-                              long long cid);
+static PyObject *ftl_next_op(Ctx *cx, PyObject *ftl, PyObject *chip,
+                             long long cid, PyObject *now);
+static PyObject *ftl_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip,
+                             long long cid);
+static int qos_stock(Ctx *cx, PyObject *host);
+static int hook_stock(PyObject *hook, int depth);
+static int hook_call(PyObject *hook, PyObject *request, PyObject *now);
+static PyObject *new_request(PyObject *time, PyObject *kind, PyObject *lpn,
+                             PyObject *npages, PyObject *tenant);
+static int qos_on_done(Ctx *cx, PyObject *host, PyObject *tenant,
+                       PyObject *stream, PyObject *think);
 
 /* ``self.sim.now`` (new reference) */
 static PyObject *
@@ -1711,8 +1862,8 @@ ctx_completion(Ctx *cx)
     return 0;
 }
 
-/* 1 when ``stats`` is an exact SimStats whose note_request_complete is
- * the stock method, 0 when not, -1 on error */
+/* 1 when ``stats`` is an exact SimStats whose note_request_complete and
+ * note_arrival are the stock methods, 0 when not, -1 on error */
 static int
 stats_stock(Ctx *cx, PyObject *stats)
 {
@@ -1722,7 +1873,8 @@ stats_stock(Ctx *cx, PyObject *stats)
     if (Py_TYPE(stats) != T_SimStats)
         return 0;
     if ((c = bound_to(stats, S_note_request_complete,
-                      F_note_request_complete)) <= 0)
+                      F_note_request_complete)) <= 0
+            || (c = bound_to(stats, S_note_arrival, F_note_arrival)) <= 0)
         return c;
     Py_INCREF(stats);
     Py_XSETREF(cx->c_stats, stats);
@@ -1766,7 +1918,7 @@ static int
 note_request_complete(PyObject *stats, PyObject *request, PyObject *now)
 {
     PyObject *rtime = NULL, *kind = NULL, *latency = NULL, *list = NULL,
-        *last = NULL, *res;
+        *last = NULL;
     int r = -1, c;
 
     /* request.completed_at = time; latency = time - request.time */
@@ -1788,15 +1940,8 @@ note_request_complete(PyObject *stats, PyObject *request, PyObject *now)
     else if (attr_add(stats, S_completed_writes, 1) < 0
              || (list = GA(stats, write_latencies)) == NULL)
         goto done;
-    if (PyList_CheckExact(list)) {
-        if (PyList_Append(list, latency) < 0)
-            goto done;
-    }
-    else {
-        if ((res = call_method1(list, S_append, latency)) == NULL)
-            goto done;
-        Py_DECREF(res);
-    }
+    if (list_append(list, latency) < 0)
+        goto done;
     /* if time > self.last_completion: self.last_completion = time */
     if ((last = GA(stats, last_completion)) == NULL)
         goto done;
@@ -1816,40 +1961,38 @@ done:
     return r;
 }
 
-/* ``self.sim.schedule(think, self._issue, index)`` on the controller's
- * calendar kernel: Simulator.schedule with _check_schedule, the same
- * Event (seq, fn and args objects) pushed straight into the queue. */
+/* ``sim.schedule(delay, fn, *args)`` on the controller's calendar
+ * kernel: Simulator.schedule with _check_schedule, the same Event (seq,
+ * fn and args objects) pushed straight into the queue. */
 static int
-host_schedule(Ctx *cx, PyObject *host, PyObject *index, PyObject *think)
+kernel_schedule(Ctx *cx, PyObject *delay, PyObject *fn, PyObject *args)
 {
-    PyObject *now = NULL, *time = NULL, *fn = NULL, *args = NULL,
-        *seq = NULL, *fields = NULL, *event = NULL;
+    PyObject *now = NULL, *time = NULL, *seq = NULL, *fields = NULL,
+        *event = NULL;
     double d;
     int r = -1;
 
     /* _check_schedule(delay): the Python function judges (and raises
      * for) anything but a finite, non-negative float */
-    if (!(PyFloat_CheckExact(think) && (d = PyFloat_AS_DOUBLE(think)) >= 0.0
+    if (!(PyFloat_CheckExact(delay) && (d = PyFloat_AS_DOUBLE(delay)) >= 0.0
           && !isinf(d))) {
         PyObject *res;
         CALLOUT(L_KERNEL);
-        res = PyObject_CallOneArg(F_check_schedule, think);
+        res = PyObject_CallOneArg(F_check_schedule, delay);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
     }
     if ((now = ctx_now(cx)) == NULL)
         goto done;
-    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(think))
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(delay))
         time = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
-                                  + PyFloat_AS_DOUBLE(think));
+                                  + PyFloat_AS_DOUBLE(delay));
     else
-        time = PyNumber_Add(now, think);
+        time = PyNumber_Add(now, delay);
     /* Event((self.now + delay, priority, next(self._seq), fn, args,
      *        False, self._cancelled)) */
-    if (time == NULL || (fn = GA(host, _issue)) == NULL
-            || (args = PyTuple_Pack(1, index)) == NULL
-            || (seq = next_of(cx->seq)) == NULL
+    if (time == NULL || (seq = next_of(cx->seq)) == NULL
             || (fields = PyTuple_Pack(7, time, ZERO, seq, fn, args, Py_False,
                                       cx->cancelled)) == NULL
             || (event = PyObject_CallOneArg((PyObject *)T_Event, fields))
@@ -1859,11 +2002,26 @@ host_schedule(Ctx *cx, PyObject *host, PyObject *index, PyObject *think)
 done:
     Py_XDECREF(now);
     Py_XDECREF(time);
-    Py_XDECREF(fn);
-    Py_XDECREF(args);
     Py_XDECREF(seq);
     Py_XDECREF(fields);
     Py_XDECREF(event);
+    return r;
+}
+
+/* ``self.sim.schedule(think, self._issue, index)`` of a closed-loop
+ * host */
+static int
+host_schedule(Ctx *cx, PyObject *host, PyObject *index, PyObject *think)
+{
+    PyObject *fn, *args;
+    int r = -1;
+
+    if ((fn = GA(host, _issue)) == NULL)
+        return -1;
+    if ((args = PyTuple_Pack(1, index)) != NULL)
+        r = kernel_schedule(cx, think, fn, args);
+    Py_DECREF(fn);
+    Py_XDECREF(args);
     return r;
 }
 
@@ -1943,9 +2101,10 @@ done:
 }
 
 /* StorageController._complete_request.  Natively when the controller's
- * stats are a stock SimStats, no completion hook is set and the
- * request's on_complete is None or a StreamCompletion of a stock
- * closed-loop host: these run only stock code, so the cache stands.
+ * stats are a stock SimStats, the completion hook is None or stock QoS
+ * accounting (hook_stock) and the request's on_complete is None, a
+ * StreamCompletion of a stock closed-loop host or a TenantCompletion of
+ * a stock QoS host: these run only stock code, so the cache stands.
  * Anything else calls the Python method, and the cache is dropped. */
 static int
 complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
@@ -1956,14 +2115,12 @@ complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
 
     if ((hook = GA(ctrl, completion_hook)) == NULL)
         return -1;
-    c = hook == Py_None;
-    Py_DECREF(hook);
-    if (!c)
+    if (!hook_stock(hook, 0))
         goto python;
     if (NEED_CTRL(cx, ctrl) < 0)
-        return -1;
+        goto done;
     if (cx->cq == LAZY_UNKNOWN && ctx_completion(cx) < 0)
-        return -1;
+        goto done;
     if (cx->cq != LAZY_YES)
         goto python;
     if ((stats = GA(ctrl, stats)) == NULL || (c = stats_stock(cx, stats)) < 0
@@ -1971,9 +2128,9 @@ complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
         goto done;
     if (!c)
         goto python;
-    if (cb != Py_None) {
-        if (Py_TYPE(cb) != T_Completion || (host = SLOT(cb, SC_host)) == NULL
-                || SLOT(cb, SC_index) == NULL || SLOT(cb, SC_think) == NULL)
+    if (Py_TYPE(cb) == T_Completion) {
+        if ((host = SLOT(cb, SC_host)) == NULL || SLOT(cb, SC_index) == NULL
+                || SLOT(cb, SC_think) == NULL)
             goto python;
         Py_INCREF(host);
         if ((kind = host_stock(cx, host)) < 0)
@@ -1981,11 +2138,28 @@ complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
         if (!kind)
             goto python;
     }
+    else if (Py_TYPE(cb) == T_TenantCompletion) {
+        if ((host = SLOT(cb, TC_host)) == NULL || SLOT(cb, TC_tenant) == NULL
+                || SLOT(cb, TC_stream) == NULL || SLOT(cb, TC_think) == NULL)
+            goto python;
+        Py_INCREF(host);
+        if ((c = qos_stock(cx, host)) < 0)
+            goto done;
+        if (!c)
+            goto python;
+        kind = 3;
+    }
+    else if (cb != Py_None)
+        goto python;
     if ((now = ctx_now(cx)) == NULL
             || note_request_complete(stats, request, now) < 0)
         goto done;
-    /* request.on_complete(request, now): StreamCompletion.__call__ */
-    if (kind) {
+    /* self.completion_hook(request, now) */
+    if (hook != Py_None && hook_call(hook, request, now) < 0)
+        goto done;
+    /* request.on_complete(request, now): StreamCompletion.__call__ or
+     * TenantCompletion.__call__ */
+    if (kind == 1 || kind == 2) {
         PyObject *index = SLOT(cb, SC_index), *think = SLOT(cb, SC_think);
         Py_INCREF(index);
         Py_INCREF(think);
@@ -1993,15 +2167,28 @@ complete_request(Ctx *cx, PyObject *ctrl, PyObject *request)
         Py_DECREF(index);
         Py_DECREF(think);
     }
+    else if (kind == 3) {
+        PyObject *tenant = SLOT(cb, TC_tenant), *stream = SLOT(cb, TC_stream),
+            *think = SLOT(cb, TC_think);
+        Py_INCREF(tenant);
+        Py_INCREF(stream);
+        Py_INCREF(think);
+        r = qos_on_done(cx, host, tenant, stream, think);
+        Py_DECREF(tenant);
+        Py_DECREF(stream);
+        Py_DECREF(think);
+    }
     else
         r = 0;
 done:
+    Py_DECREF(hook);
     Py_XDECREF(stats);
     Py_XDECREF(cb);
     Py_XDECREF(now);
     Py_XDECREF(host);
     return r;
 python:
+    Py_DECREF(hook);
     Py_XDECREF(stats);
     Py_XDECREF(cb);
     Py_XDECREF(host);
@@ -2696,8 +2883,8 @@ done:
     return r;
 }
 
-/* The pump's ``ftl_next_op(chip_id, now)``: flexFTL's next_op natively
- * when it is the stock method of a FlexFtl, the Python call otherwise. */
+/* The pump's ``ftl_next_op(chip_id, now)``: natively when it is the
+ * stock FlexFtl or BaseFtl method, the Python call otherwise. */
 static PyObject *
 call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
              long long cid, PyObject *now)
@@ -2705,8 +2892,10 @@ call_next_op(Ctx *cx, PyObject *ctrl, PyObject *next_op, PyObject *chip,
     PyObject *args[2] = {chip, now};
     if (NEED_CTRL(cx, ctrl) < 0)
         return NULL;
-    if (cx->flex && next_op == cx->next_op)
+    if (cx->ftln == FTLN_FLEX && next_op == cx->next_op)
         return flex_next_op(cx, PyMethod_GET_SELF(next_op), chip, cid, now);
+    if (cx->ftln == FTLN_BASE && next_op == cx->next_op)
+        return ftl_next_op(cx, PyMethod_GET_SELF(next_op), chip, cid, now);
     CALLOUT(L_FTL);
     return PyObject_Vectorcall(next_op, args, 2, NULL);
 }
@@ -3032,14 +3221,15 @@ done:
     return r;
 }
 
-/* ``self._gc_step(chip_id)`` from the idle path: flexFTL's relocation
- * step natively (as in its next_op), the Python method otherwise */
+/* ``self._gc_step(chip_id)`` from the idle path: natively (as in
+ * next_op) for the FTL behind a native next_op, the Python method
+ * otherwise */
 static PyObject *
 idle_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
 {
     PyObject *out;
-    if (cx->flex && ftl == PyMethod_GET_SELF(cx->next_op))
-        return flex_gc_step(cx, ftl, chip, cid);
+    if (cx->ftln != FTLN_PYTHON && ftl == PyMethod_GET_SELF(cx->next_op))
+        return ftl_gc_step(cx, ftl, chip, cid);
     CALLOUT(L_FTL);
     out = call_method1(ftl, S__gc_step, chip);
     ctx_flush_after(cx, L_FTL);
@@ -3222,7 +3412,8 @@ idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
     PyObject *v, *ftl;
     int busy, c;
 
-    /* host_idle(), inlined */
+    /* StorageController.host_idle(): not (self._admissions or
+     * self._queued_reads or len(self.write_buffer)) */
     if ((busy = truthy(admissions)) != 0)
         return busy < 0 ? -1 : 0;
     if ((v = GA(ctrl, _queued_reads)) == NULL)
@@ -3231,10 +3422,16 @@ idle_time_op(Ctx *cx, PyObject *ctrl, PyObject *admissions, PyObject *buffer,
     Py_DECREF(v);
     if (busy != 0)
         return busy < 0 ? -1 : 0;
-    if ((v = GA(buffer, _live)) == NULL)
-        return -1;
-    busy = truthy(v);
-    Py_DECREF(v);
+    if (Py_TYPE(buffer) == T_WriteBuffer) {
+        if ((v = GA(buffer, _live)) == NULL)
+            return -1;
+        busy = truthy(v);
+        Py_DECREF(v);
+    }
+    else {
+        Py_ssize_t n = PyObject_Length(buffer);
+        busy = n < 0 ? -1 : n > 0;
+    }
     if (busy != 0)
         return busy < 0 ? -1 : 0;
     if (NEED_CTRL(cx, ctrl) < 0)
@@ -3609,16 +3806,29 @@ controller_submit(Ctx *cx, PyObject *ctrl, PyObject *request)
         *kind = NULL, *v = NULL, *res;
     int r = -1, c;
 
-    if ((stats = GA(ctrl, stats)) == NULL
-            || (first = GA(stats, first_arrival)) == NULL
-            || (rtime = RQ_GET(request, time)) == NULL)
+    if ((stats = GA(ctrl, stats)) == NULL || NEED_CTRL(cx, ctrl) < 0
+            || (c = stats_stock(cx, stats)) < 0)
         goto done;
-    c = 1;
-    if (first != Py_None
-            && (c = PyObject_RichCompareBool(rtime, first, Py_LT)) < 0)
-        goto done;
-    if (c && SA(stats, first_arrival, rtime) < 0)
-        goto done;
+    if (c) {
+        /* SimStats.note_arrival(request) */
+        if ((first = GA(stats, first_arrival)) == NULL
+                || (rtime = RQ_GET(request, time)) == NULL)
+            goto done;
+        c = 1;
+        if (first != Py_None
+                && (c = PyObject_RichCompareBool(rtime, first, Py_LT)) < 0)
+            goto done;
+        if (c && SA(stats, first_arrival, rtime) < 0)
+            goto done;
+    }
+    else {
+        CALLOUT(L_CONTROLLER);
+        res = call_method1(stats, S_note_arrival, request);
+        ctx_flush_after(cx, L_CONTROLLER);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
     if (NEED_CTRL(cx, ctrl) < 0 || (now = ctx_now(cx)) == NULL
             || RQ_SET(request, submitted_at, now) < 0)
         goto done;
@@ -3774,13 +3984,8 @@ host_issue(Ctx *cx, PyObject *host, PyObject *index, int streaming)
     }
     else if ((tenant = GA(host, tenant)) == NULL)
         goto done;
-    {
-        PyObject *args[5] = {now, kind, lpn, npages, tenant};
-        request = PyObject_Vectorcall((PyObject *)T_Request, args, 4,
-                                      KW_TENANT);
-        if (request == NULL)
-            goto done;
-    }
+    if ((request = new_request(now, kind, lpn, npages, tenant)) == NULL)
+        goto done;
     /* request.on_complete = StreamCompletion(self, index, op.think_after),
      * its __init__'s slot stores done here */
     if ((think = GA(op, think_after)) == NULL
@@ -3816,8 +4021,1054 @@ done:
     return r;
 }
 
+/* Request(time, kind, lpn, npages, tenant=tenant): the dataclass's
+ * __init__ and __post_init__ as slot stores, in field order, for an int
+ * lpn >= 0 and npages > 0.  Anything else calls the class, which raises
+ * the same ValueError for a bad value.  New reference. */
+static PyObject *
+new_request(PyObject *time, PyObject *kind, PyObject *lpn, PyObject *npages,
+            PyObject *tenant)
+{
+    PyObject *args[5] = {time, kind, lpn, npages, tenant}, *rq, *v[11];
+    long long l, n;
+    int ol, on, i;
+
+    if (PyLong_CheckExact(lpn) && PyLong_CheckExact(npages)) {
+        l = PyLong_AsLongLongAndOverflow(lpn, &ol);
+        n = PyLong_AsLongLongAndOverflow(npages, &on);
+        if ((ol > 0 || (ol == 0 && l >= 0)) && (on > 0 || (on == 0 && n > 0))
+                && (rq = T_Request->tp_alloc(T_Request, 0)) != NULL) {
+            Py_ssize_t off[11] = {RQ_time, RQ_kind, RQ_lpn, RQ_npages,
+                                  RQ_tenant, RQ_pages_remaining,
+                                  RQ_submitted_at, RQ_status, RQ_error,
+                                  RQ_completed_at, RQ_on_complete};
+            v[0] = time;
+            v[1] = kind;
+            v[2] = lpn;
+            v[3] = npages;
+            v[4] = tenant;
+            v[5] = npages;          /* __post_init__: pages_remaining */
+            v[6] = FLOAT_ZERO;
+            v[7] = REQUEST_OK;
+            v[8] = v[9] = v[10] = Py_None;
+            for (i = 0; i < 11; i++) {
+                Py_INCREF(v[i]);
+                SLOT(rq, off[i]) = v[i];
+            }
+            return rq;
+        }
+        if (PyErr_Occurred())
+            return NULL;
+    }
+    return PyObject_Vectorcall((PyObject *)T_Request, args, 4, KW_TENANT);
+}
+
 /* ------------------------------------------------------------------ */
-/* flexFTL                                                            */
+/* the QoS front-end (repro.qos)                                      */
+
+/* 1 when a completion hook runs only stock code: None (at the top
+ * level), a SloAccountant's bound record, or a _ChainedHook of such
+ * parts; 0 otherwise */
+static int
+hook_stock(PyObject *hook, int depth)
+{
+    PyObject *first, *second;
+    if (hook == Py_None)
+        return depth == 0;
+    if (PyMethod_Check(hook))
+        return PyMethod_GET_FUNCTION(hook) == F_slo_record
+            && Py_TYPE(PyMethod_GET_SELF(hook)) == T_SloAccountant;
+    if (Py_TYPE(hook) != T_ChainedHook || depth >= 8
+            || (first = SLOT(hook, CH_first)) == NULL
+            || (second = SLOT(hook, CH_second)) == NULL)
+        return 0;
+    return hook_stock(first, depth + 1) && hook_stock(second, depth + 1);
+}
+
+/* ``o.name = o.name + delta`` (``+=`` on an int attribute, any delta) */
+static int
+attr_iadd(PyObject *o, PyObject *name, PyObject *delta)
+{
+    PyObject *v = PyObject_GetAttr(o, name), *nv;
+    int r;
+    if (v == NULL)
+        return -1;
+    nv = PyNumber_InPlaceAdd(v, delta);
+    Py_DECREF(v);
+    if (nv == NULL)
+        return -1;
+    r = PyObject_SetAttr(o, name, nv);
+    Py_DECREF(nv);
+    return r;
+}
+
+/* TenantAccount.record for a request that completed ok */
+static int
+account_record(PyObject *account, PyObject *request, PyObject *now)
+{
+    PyObject *rtime = NULL, *latency = NULL, *v = NULL, *kind = NULL,
+        *npages = NULL, *list = NULL, *target = NULL;
+    int r = -1, c, read;
+
+    /* latency = now - request.time */
+    if ((rtime = RQ_GET(request, time)) == NULL)
+        goto done;
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(rtime))
+        latency = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                     - PyFloat_AS_DOUBLE(rtime));
+    else
+        latency = PyNumber_Subtract(now, rtime);
+    /* if self.first_arrival is None or request.time < self.first_arrival */
+    if (latency == NULL || (v = GA(account, first_arrival)) == NULL)
+        goto done;
+    c = 1;
+    if (v != Py_None && (c = PyObject_RichCompareBool(rtime, v, Py_LT)) < 0)
+        goto done;
+    if (c && SA(account, first_arrival, rtime) < 0)
+        goto done;
+    Py_CLEAR(v);
+    /* if now > self.last_completion */
+    if ((v = GA(account, last_completion)) == NULL
+            || (c = PyObject_RichCompareBool(now, v, Py_GT)) < 0
+            || (c && SA(account, last_completion, now) < 0))
+        goto done;
+    Py_CLEAR(v);
+    if ((kind = RQ_GET(request, kind)) == NULL
+            || (npages = RQ_GET(request, npages)) == NULL)
+        goto done;
+    read = kind == R_READ;
+    if (attr_add(account, read ? S_completed_reads : S_completed_writes,
+                 1) < 0
+            || attr_iadd(account, read ? S_read_pages : S_written_pages,
+                         npages) < 0
+            || (list = PyObject_GetAttr(account, read ? S_read_latencies
+                                        : S_write_latencies)) == NULL
+            || list_append(list, latency) < 0)
+        goto done;
+    /* target = self.target.<kind>_latency
+     * if target is not None and latency > target: violations += 1 */
+    if ((v = GA(account, target)) == NULL
+            || (target = PyObject_GetAttr(v, read ? S_read_latency
+                                          : S_write_latency)) == NULL)
+        goto done;
+    if (target != Py_None) {
+        if ((c = PyObject_RichCompareBool(latency, target, Py_GT)) < 0
+                || (c && attr_add(account, read ? S_read_violations
+                                  : S_write_violations, 1) < 0))
+            goto done;
+    }
+    r = 0;
+done:
+    Py_XDECREF(rtime);
+    Py_XDECREF(latency);
+    Py_XDECREF(v);
+    Py_XDECREF(kind);
+    Py_XDECREF(npages);
+    Py_XDECREF(list);
+    Py_XDECREF(target);
+    return r;
+}
+
+/* SloAccountant.record(request, now): the request's existing account
+ * records a request completed ok natively; a new account, a failed or a
+ * recovered request call the stock Python method (which rebinds nothing
+ * the cache holds) */
+static int
+slo_record(PyObject *accountant, PyObject *request, PyObject *now)
+{
+    PyObject *tenant = NULL, *accounts = NULL, *account = NULL,
+        *status = NULL, *res;
+    int r = -1;
+
+    if ((tenant = RQ_GET(request, tenant)) == NULL)
+        return -1;
+    if (tenant == Py_None) {
+        Py_DECREF(tenant);
+        return 0;
+    }
+    if ((accounts = GA(accountant, accounts)) == NULL
+            || (status = RQ_GET(request, status)) == NULL)
+        goto done;
+    if (PyDict_CheckExact(accounts)) {
+        account = PyDict_GetItemWithError(accounts, tenant);
+        if (account == NULL && PyErr_Occurred())
+            goto done;
+        Py_XINCREF(account);
+    }
+    /* status == REQUEST_OK (a resumed snapshot's strings are equal, not
+     * the same object) */
+    if (account != NULL && Py_TYPE(account) == T_TenantAccount
+            && (status == REQUEST_OK
+                || (PyUnicode_CheckExact(status)
+                    && PyUnicode_Compare(status, REQUEST_OK) == 0)))
+        r = account_record(account, request, now);
+    else {
+        CALLOUT(L_HOST);
+        if ((res = call_method2(accountant, S_record, request, now)) != NULL) {
+            Py_DECREF(res);
+            r = 0;
+        }
+    }
+done:
+    Py_DECREF(tenant);
+    Py_XDECREF(accounts);
+    Py_XDECREF(account);
+    Py_XDECREF(status);
+    return r;
+}
+
+/* Call a stock completion hook (hook_stock): ``hook(request, now)`` */
+static int
+hook_call(PyObject *hook, PyObject *request, PyObject *now)
+{
+    if (PyMethod_Check(hook))
+        return slo_record(PyMethod_GET_SELF(hook), request, now);
+    /* _ChainedHook: self.first(request, now); self.second(request, now) */
+    if (hook_call(SLOT(hook, CH_first), request, now) < 0)
+        return -1;
+    return hook_call(SLOT(hook, CH_second), request, now);
+}
+
+/* Classify ``host`` for the native QoS path: 1 when it is an exact
+ * MultiTenantHost on the loaded controller and its kernel, with no
+ * tracer or metrics hooks, no token bucket, exact SubmissionQueues and
+ * AdmissionGate (on the same controller) and a stock fifo/rr/wrr/drr
+ * arbiter, their methods neither overridden nor patched; 0 otherwise
+ * (the host's events then run in Python); -1 on error.  A stock host's
+ * containers are cached in ``cx``. */
+static int
+qos_stock(Ctx *cx, PyObject *host)
+{
+    PyObject *v = NULL, *tenants = NULL, *queues = NULL, *cursor = NULL,
+        *arbiter = NULL, *gate = NULL;
+    Py_ssize_t i;
+    int r = 0, c, arb;
+
+    if (host == cx->q_host)
+        return 1;
+    if (Py_TYPE(host) != T_QosHost || cx->ctrl == NULL)
+        return 0;
+    if (cx->cq == LAZY_UNKNOWN && ctx_completion(cx) < 0)
+        return -1;
+    if (cx->cq != LAZY_YES)
+        return 0;
+    /* on the loaded controller and its kernel, with no tracer or
+     * metrics (Tracer.attach_qos) */
+    if ((c = attr_is(host, S_controller, cx->ctrl)) <= 0
+            || (c = attr_is(host, S_sim, cx->psim)) <= 0
+            || (c = attr_is(host, S__trace, Py_None)) <= 0
+            || (c = attr_is(host, S__metrics, Py_None)) <= 0)
+        return c;
+    /* no token bucket */
+    if ((v = GA(host, buckets)) == NULL)
+        return -1;
+    c = PyList_CheckExact(v);
+    for (i = 0; c && i < PyList_GET_SIZE(v); i++)
+        c = PyList_GET_ITEM(v, i) == Py_None;
+    Py_DECREF(v);
+    if (!c)
+        return 0;
+    if ((tenants = GA(host, tenants)) == NULL
+            || (cursor = GA(host, _cursor)) == NULL
+            || (queues = GA(host, queues)) == NULL
+            || (arbiter = GA(host, arbiter)) == NULL
+            || (gate = GA(host, gate)) == NULL)
+        goto error;
+    if (!PyList_CheckExact(tenants) || !PyList_CheckExact(cursor)
+            || !PyList_CheckExact(queues) || PyList_GET_SIZE(queues) == 0
+            || Py_TYPE(gate) != T_Gate)
+        goto done;
+    /* exact queues and a stock arbiter and gate, nothing patched on
+     * the instances */
+    for (i = 0; i < PyList_GET_SIZE(queues); i++) {
+        PyObject *queue = PyList_GET_ITEM(queues, i);
+        if (Py_TYPE(queue) != T_SubQueue)
+            goto done;
+        if ((c = bound_to(queue, S_push, F_queue_push)) <= 0
+                || (c = bound_to(queue, S_pop, F_queue_pop)) <= 0) {
+            r = c;
+            goto done;
+        }
+    }
+    for (arb = 0; arb < N_ARBITERS; arb++)
+        if (Py_TYPE(arbiter) == T_Arbiter[arb])
+            break;
+    if (arb == N_ARBITERS)
+        goto done;
+    if ((c = bound_to(arbiter, S_select, F_select[arb])) <= 0
+            || (c = bound_to(arbiter, S_note_empty, F_note_empty[arb])) <= 0
+            || (c = bound_to(gate, S_can_admit, F_can_admit)) <= 0
+            || (c = bound_to(gate, S_note_dispatch, F_note_dispatch)) <= 0
+            || (c = bound_to(gate, S_note_complete, F_note_complete)) <= 0
+            || (c = attr_is(gate, S_controller, cx->ctrl)) <= 0) {
+        r = c;
+        goto done;
+    }
+    ctx_flush_qos(cx);
+    Py_INCREF(host);
+    cx->q_host = host;
+    cx->q_tenants = tenants;
+    cx->q_cursor = cursor;
+    cx->q_queues = queues;
+    cx->q_arbiter = arbiter;
+    cx->q_gate = gate;
+    cx->q_arb = arb;
+    return 1;
+error:
+    r = -1;
+done:
+    Py_XDECREF(tenants);
+    Py_XDECREF(cursor);
+    Py_XDECREF(queues);
+    Py_XDECREF(arbiter);
+    Py_XDECREF(gate);
+    return r;
+}
+
+/* SubmissionQueue.push(request, seq, now): the full-queue check (whose
+ * OverflowError the Python method raises), the QueuedCommand (slot
+ * stores), the enqueue count and the depth timeline */
+static int
+queue_push(PyObject *queue, PyObject *request, PyObject *seq, PyObject *now)
+{
+    PyObject *fifo = NULL, *v = NULL, *command = NULL, *sample = NULL,
+        *res;
+    Py_ssize_t depth;
+    long long seen;
+    int r = -1, c;
+
+    if ((fifo = GA(queue, _fifo)) == NULL || (v = GA(queue, max_depth)) == NULL
+            || (depth = PyObject_Length(fifo)) < 0)
+        goto done;
+    if (v != Py_None) {
+        PyObject *n = PyLong_FromSsize_t(depth);
+        if (n == NULL)
+            goto done;
+        c = PyObject_RichCompareBool(n, v, Py_GE);
+        Py_DECREF(n);
+        if (c < 0)
+            goto done;
+        if (c) {
+            /* full: the Python method raises */
+            CALLOUT(L_HOST);
+            if ((res = PyObject_CallMethodObjArgs(queue, S_push, request, seq,
+                                                  now, NULL)) != NULL) {
+                Py_DECREF(res);
+                r = 0;
+            }
+            goto done;
+        }
+    }
+    Py_CLEAR(v);
+    /* command = QueuedCommand(request=request, seq=seq, enqueued_at=now) */
+    if ((command = T_QueuedCommand->tp_alloc(T_QueuedCommand, 0)) == NULL)
+        goto done;
+    Py_INCREF(request);
+    SLOT(command, QC_request) = request;
+    Py_INCREF(seq);
+    SLOT(command, QC_seq) = seq;
+    Py_INCREF(now);
+    SLOT(command, QC_enqueued_at) = now;
+    if ((res = call_method1(fifo, S_append, command)) == NULL)
+        goto done;
+    Py_DECREF(res);
+    if (attr_add(queue, S_enqueued, 1) < 0
+            || (depth = PyObject_Length(fifo)) < 0
+            || ga_ll(queue, S_max_depth_seen, &seen) < 0
+            || (depth > seen && sa_ll(queue, S_max_depth_seen, depth) < 0)
+            || (v = GA(queue, depth_samples)) == NULL
+            || (sample = Py_BuildValue("(On)", now, depth)) == NULL
+            || list_append(v, sample) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(fifo);
+    Py_XDECREF(v);
+    Py_XDECREF(command);
+    Py_XDECREF(sample);
+    return r;
+}
+
+/* SubmissionQueue.pop(now) (new reference); an empty queue's IndexError
+ * is the Python method's */
+static PyObject *
+queue_pop(PyObject *queue, PyObject *now)
+{
+    PyObject *fifo, *command = NULL, *v = NULL, *sample = NULL;
+    Py_ssize_t depth;
+
+    if ((fifo = GA(queue, _fifo)) == NULL)
+        return NULL;
+    if ((depth = PyObject_Length(fifo)) <= 0) {
+        Py_DECREF(fifo);
+        if (depth < 0)
+            return NULL;
+        CALLOUT(L_HOST);
+        return call_method1(queue, S_pop, now);
+    }
+    if ((command = call_method0(fifo, S_popleft)) == NULL
+            || attr_add(queue, S_issued, 1) < 0
+            || (depth = PyObject_Length(fifo)) < 0
+            || (v = GA(queue, depth_samples)) == NULL
+            || (sample = Py_BuildValue("(On)", now, depth)) == NULL
+            || list_append(v, sample) < 0)
+        Py_CLEAR(command);
+    Py_DECREF(fifo);
+    Py_XDECREF(v);
+    Py_XDECREF(sample);
+    return command;
+}
+
+/* ``len(queue._fifo)``, or -1 on error */
+static Py_ssize_t
+queue_depth(PyObject *queue)
+{
+    PyObject *fifo = GA(queue, _fifo);
+    Py_ssize_t n;
+    if (fifo == NULL)
+        return -1;
+    n = PyObject_Length(fifo);
+    Py_DECREF(fifo);
+    return n;
+}
+
+/* ``queue.head`` (``queue._fifo[0]``, new reference) */
+static PyObject *
+queue_head(PyObject *queue)
+{
+    PyObject *fifo = GA(queue, _fifo), *head;
+    if (fifo == NULL)
+        return NULL;
+    head = PySequence_GetItem(fifo, 0);
+    Py_DECREF(fifo);
+    return head;
+}
+
+/* ``queue.head.request.npages`` as a C integer (1), 0 when it is not a
+ * plain int of at most 2**53 in size (the float arithmetic of the
+ * caller would not be exact), -1 on error */
+static int
+head_npages(PyObject *queue, long long *out)
+{
+    PyObject *head = queue_head(queue), *request, *npages;
+    int r = 0, overflow;
+
+    if (head == NULL)
+        return -1;
+    request = slot_get(head, T_QueuedCommand, QC_request, S_request);
+    Py_DECREF(head);
+    if (request == NULL)
+        return -1;
+    npages = RQ_GET(request, npages);
+    Py_DECREF(request);
+    if (npages == NULL)
+        return -1;
+    if (PyLong_CheckExact(npages)) {
+        *out = PyLong_AsLongLongAndOverflow(npages, &overflow);
+        r = !overflow && *out <= (1LL << 53) && *out >= -(1LL << 53);
+    }
+    Py_DECREF(npages);
+    return r;
+}
+
+/* AdmissionGate.can_admit(): 1/0, or -1 on error.  ``ctrl`` is the
+ * gate's controller, loaded in ``cx``. */
+static int
+gate_can_admit(Ctx *cx, PyObject *gate, PyObject *ctrl)
+{
+    PyObject *limit, *v;
+    int c;
+
+    /* max_outstanding is not None and outstanding >= max_outstanding */
+    if ((limit = GA(gate, max_outstanding)) == NULL)
+        return -1;
+    c = 0;
+    if (limit != Py_None) {
+        if ((v = GA(gate, outstanding)) == NULL) {
+            Py_DECREF(limit);
+            return -1;
+        }
+        c = PyObject_RichCompareBool(v, limit, Py_GE);
+        Py_DECREF(v);
+    }
+    Py_DECREF(limit);
+    if (c != 0)
+        goto blocked;
+    /* max_pending_admissions is not None and
+     * controller.pending_admissions >= max_pending_admissions */
+    if ((limit = GA(gate, max_pending_admissions)) == NULL)
+        return -1;
+    if (limit != Py_None) {
+        Py_ssize_t n;
+        if (NEED_CTRL(cx, ctrl) < 0 || (n = PyObject_Length(cx->admissions)) < 0
+                || (v = PyLong_FromSsize_t(n)) == NULL) {
+            Py_DECREF(limit);
+            return -1;
+        }
+        c = PyObject_RichCompareBool(v, limit, Py_GE);
+        Py_DECREF(v);
+    }
+    Py_DECREF(limit);
+    if (c == 0)
+        return 1;
+blocked:
+    if (c < 0 || attr_add(gate, S_blocked_decisions, 1) < 0)
+        return -1;
+    return 0;
+}
+
+/* The stock arbiters' select(queues, eligible), natively: the index to
+ * serve (>= 0), -2 when the Python method must decide (state the native
+ * arithmetic does not cover exactly, or no progress, where it raises),
+ * -1 on error.  ``eligible`` has one flag per queue, some set. */
+static Py_ssize_t
+arbiter_select(PyObject *arbiter, int arb, PyObject *queues,
+               const char *eligible, Py_ssize_t n)
+{
+    PyObject *weights = NULL, *state = NULL, *v;
+    double *w = NULL, *x = NULL, min_w, quantum = 0.0, bound_d;
+    long long pos, cost, max_cost = 0, *costs = NULL, loops, it;
+    char *changed = NULL;
+    Py_ssize_t i, index, r = -2;
+    int c, credited = 0;
+
+    if (arb == ARB_FIFO) {
+        /* the eligible head that arrived first (lowest seq) */
+        PyObject *best_seq = NULL;
+        index = -1;
+        for (i = 0; i < n; i++) {
+            PyObject *head, *seq;
+            if (!eligible[i])
+                continue;
+            if ((head = queue_head(PyList_GET_ITEM(queues, i))) == NULL)
+                goto fifo_error;
+            seq = slot_get(head, T_QueuedCommand, QC_seq, S_seq);
+            Py_DECREF(head);
+            if (seq == NULL)
+                goto fifo_error;
+            if (index < 0 || (c = int_lt(seq, best_seq)) == 1) {
+                index = i;
+                Py_XSETREF(best_seq, seq);
+            }
+            else {
+                Py_DECREF(seq);
+                if (c < 0)
+                    goto fifo_error;
+            }
+        }
+        Py_XDECREF(best_seq);
+        return index;
+    fifo_error:
+        Py_XDECREF(best_seq);
+        return -1;
+    }
+    if (ga_ll(arbiter, S__pos, &pos) < 0)
+        return -1;
+    if (pos < 0 || pos >= n)
+        return -2;
+    if (arb == ARB_RR) {
+        for (i = 0; i < n; i++) {
+            index = (pos + i) % n;
+            if (eligible[index]) {
+                if (sa_ll(arbiter, S__pos, (index + 1) % n) < 0)
+                    return -1;
+                return index;
+            }
+        }
+        return -2;
+    }
+    /* WRR and DRR: the float weights and credits (deficits) */
+    if ((weights = GA(arbiter, weights)) == NULL
+            || (state = PyObject_GetAttr(arbiter, arb == ARB_WRR ? S__credits
+                                          : S__deficit)) == NULL)
+        goto error;
+    if (!PyList_CheckExact(weights) || !PyList_CheckExact(state)
+            || PyList_GET_SIZE(weights) != n || PyList_GET_SIZE(state) != n)
+        goto done;
+    w = PyMem_Malloc(2 * n * sizeof(double));
+    costs = PyMem_Malloc(n * sizeof(long long));
+    changed = PyMem_Calloc(n, 1);
+    if (w == NULL || costs == NULL || changed == NULL) {
+        PyErr_NoMemory();
+        goto error;
+    }
+    x = w + n;
+    min_w = 0.0;
+    for (i = 0; i < n; i++) {
+        PyObject *a = PyList_GET_ITEM(weights, i), *b = PyList_GET_ITEM(state, i);
+        if (!PyFloat_CheckExact(a) || !PyFloat_CheckExact(b))
+            goto done;
+        w[i] = PyFloat_AS_DOUBLE(a);
+        x[i] = PyFloat_AS_DOUBLE(b);
+        if (w[i] != w[i] || x[i] != x[i])
+            goto done;              /* NaN: min() and comparisons differ */
+        if (i == 0 || w[i] < min_w)
+            min_w = w[i];
+    }
+    if (arb == ARB_WRR) {
+        /* max_rounds = int(1.0 / min(self.weights)) + 2 */
+        bound_d = 1.0 / min_w;
+        if (!(bound_d < 1e15))
+            goto done;
+        loops = ((long long)bound_d + 2) * n + n;
+        for (it = 0; it < loops; it++) {
+            index = (Py_ssize_t)pos;
+            if (eligible[index] && x[index] >= 1.0) {
+                x[index] -= 1.0;
+                changed[index] = 1;
+                r = index;
+                break;
+            }
+            pos = (index + 1) % n;
+            if (pos == 0)
+                for (i = 0; i < n; i++) {
+                    x[i] += w[i];
+                    changed[i] = 1;
+                }
+        }
+    }
+    else {
+        /* costs = [head npages if eligible]; bound =
+         * (int(max_cost / (quantum * min(weights))) + 2) * n + n */
+        if ((v = GA(arbiter, quantum)) == NULL)
+            goto error;
+        c = 1;
+        if (PyFloat_CheckExact(v))
+            quantum = PyFloat_AS_DOUBLE(v);
+        else if (PyLong_CheckExact(v)) {
+            int overflow;
+            long long q = PyLong_AsLongLongAndOverflow(v, &overflow);
+            c = !overflow && q <= (1LL << 53) && q >= -(1LL << 53);
+            quantum = (double)q;
+        }
+        else
+            c = 0;
+        Py_DECREF(v);
+        if (!c)
+            goto done;
+        if ((v = GA(arbiter, _credited)) == NULL)
+            goto error;
+        c = v == Py_True || v == Py_False;
+        credited = v == Py_True;
+        Py_DECREF(v);
+        if (!c)
+            goto done;
+        for (i = 0, c = 0; i < n; i++) {
+            int got;
+            if (!eligible[i])
+                continue;
+            if ((got = head_npages(PyList_GET_ITEM(queues, i), &cost)) <= 0) {
+                if (got < 0)
+                    goto error;
+                goto done;
+            }
+            costs[i] = cost;
+            if (!c++ || cost > max_cost)
+                max_cost = cost;
+        }
+        bound_d = (double)max_cost / (quantum * min_w);
+        if (!(fabs(bound_d) < 1e15))
+            goto done;
+        loops = ((long long)bound_d + 2) * n + n;
+        for (it = 0; it < loops; it++) {
+            index = (Py_ssize_t)pos;
+            if (eligible[index]) {
+                if (!credited) {
+                    x[index] += quantum * w[index];
+                    changed[index] = 1;
+                    credited = 1;
+                }
+                if (x[index] >= (double)costs[index]) {
+                    x[index] -= (double)costs[index];
+                    changed[index] = 1;
+                    r = index;
+                    break;
+                }
+            }
+            pos = (index + 1) % n;
+            credited = 0;
+        }
+    }
+    if (r < 0)
+        goto done;                  /* no progress: Python raises */
+    /* publish the scan position and the changed credits */
+    if (sa_ll(arbiter, S__pos, pos) < 0
+            || (arb == ARB_DRR
+                && SA(arbiter, _credited, credited ? Py_True : Py_False) < 0))
+        goto error;
+    for (i = 0; i < n; i++) {
+        if (changed[i]) {
+            PyObject *f = PyFloat_FromDouble(x[i]);
+            if (f == NULL || set_item(state, i, f) < 0) {
+                Py_XDECREF(f);
+                goto error;
+            }
+            Py_DECREF(f);
+        }
+    }
+    goto done;
+error:
+    r = -1;
+done:
+    Py_XDECREF(weights);
+    Py_XDECREF(state);
+    PyMem_Free(w);
+    PyMem_Free(costs);
+    PyMem_Free(changed);
+    return r;
+}
+
+/* ``self.arbiter.select(self.queues, eligible)``: natively, or the
+ * stock Python method where arbiter_select defers to it.  The index, or
+ * -1 on error (a None result raises, as the Python loop's assert). */
+static Py_ssize_t
+qos_select(PyObject *arbiter, int arb, PyObject *queues,
+           const char *eligible, Py_ssize_t n)
+{
+    PyObject *flags, *res;
+    Py_ssize_t i, index = arbiter_select(arbiter, arb, queues, eligible, n);
+
+    if (index != -2)
+        return index;
+    if ((flags = PyList_New(n)) == NULL)
+        return -1;
+    for (i = 0; i < n; i++) {
+        PyObject *b = eligible[i] ? Py_True : Py_False;
+        Py_INCREF(b);
+        PyList_SET_ITEM(flags, i, b);
+    }
+    CALLOUT(L_HOST);
+    res = call_method2(arbiter, S_select, queues, flags);
+    Py_DECREF(flags);
+    if (res == NULL)
+        return -1;
+    if (res == Py_None) {
+        Py_DECREF(res);
+        PyErr_SetNone(PyExc_AssertionError);
+        return -1;
+    }
+    index = PyNumber_AsSsize_t(res, PyExc_IndexError);
+    Py_DECREF(res);
+    if (index == -1 && PyErr_Occurred())
+        return -1;
+    if (index < 0 || index >= n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    return index;
+}
+
+/* Arbiter.note_empty(index): DeficitRoundRobinArbiter's forfeits the
+ * queue's deficit and moves the scan on; the base method does nothing */
+static int
+arbiter_note_empty(PyObject *arbiter, int arb, Py_ssize_t index)
+{
+    PyObject *v, *f;
+    long long pos;
+    Py_ssize_t n;
+    int r;
+
+    if (arb != ARB_DRR)
+        return 0;
+    /* self._deficit[index] = 0.0 */
+    if ((v = GA(arbiter, _deficit)) == NULL)
+        return -1;
+    if ((f = PyFloat_FromDouble(0.0)) == NULL) {
+        Py_DECREF(v);
+        return -1;
+    }
+    r = set_item(v, index, f);
+    Py_DECREF(f);
+    Py_DECREF(v);
+    if (r < 0 || ga_ll(arbiter, S__pos, &pos) < 0)
+        return -1;
+    if (pos != index)
+        return 0;
+    /* self._pos = (index + 1) % len(self.tenants); self._credited = False */
+    if ((v = GA(arbiter, tenants)) == NULL)
+        return -1;
+    n = PyObject_Length(v);
+    Py_DECREF(v);
+    if (n <= 0) {
+        if (n == 0)
+            PyErr_SetString(PyExc_ZeroDivisionError,
+                            "integer modulo by zero");
+        return -1;
+    }
+    if (sa_ll(arbiter, S__pos, (index + 1) % n) < 0
+            || SA(arbiter, _credited, Py_False) < 0)
+        return -1;
+    return 0;
+}
+
+/* AdmissionGate.note_complete: ``self.outstanding -= 1`` (the Python
+ * method raises its RuntimeError for a completion without a dispatch) */
+static int
+gate_note_complete(PyObject *gate)
+{
+    PyObject *res;
+    long long outstanding;
+    if (ga_ll(gate, S_outstanding, &outstanding) < 0)
+        return -1;
+    if (outstanding > 0)
+        return sa_ll(gate, S_outstanding, outstanding - 1);
+    CALLOUT(L_HOST);
+    if ((res = call_method0(gate, S_note_complete)) == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* MultiTenantHost._pump for a stock host (qos_stock): while the gate
+ * admits, the arbiter picks an eligible queue, its head command is
+ * popped and submitted to the controller.  A callout that drops the
+ * cache makes the loop classify the host afresh; should it no longer be
+ * stock, the Python method takes over where the loop stands. */
+static int
+qos_pump(Ctx *cx, PyObject *host)
+{
+    PyObject *v, *ctrl = NULL, *queues = NULL, *arbiter = NULL, *gate = NULL,
+        *now = NULL, *queue = NULL, *command = NULL, *request = NULL,
+        *et, *ev, *tb;
+    char small[16], *eligible = small;
+    Py_ssize_t i, n, index, depth, alloc = 16;
+    int r = -1, c, any, arb;
+
+    if ((v = GA(host, _pumping)) == NULL)
+        return -1;
+    c = truthy(v);
+    Py_DECREF(v);
+    if (c)
+        return c < 0 ? -1 : 0;
+    if (SA(host, _pumping, Py_True) < 0)
+        return -1;
+    ctrl = CX(cx, ctrl);
+    for (;;) {
+        if (cx->q_host != host) {
+            /* the cache was dropped: classify the host afresh */
+            if (NEED_CTRL(cx, ctrl) < 0 || (c = qos_stock(cx, host)) < 0)
+                goto done;
+            if (!c) {
+                PyObject *res;
+                if (SA(host, _pumping, Py_False) < 0)
+                    goto done;
+                CALLOUT(L_HOST);
+                res = call_method0(host, S__pump);
+                ctx_flush_after(cx, L_HOST);
+                if (res == NULL)
+                    goto out;
+                Py_DECREF(res);
+                r = 0;
+                goto out;
+            }
+        }
+        if (queues != cx->q_queues) {
+            Py_XSETREF(queues, CX(cx, q_queues));
+            Py_XSETREF(arbiter, CX(cx, q_arbiter));
+            Py_XSETREF(gate, CX(cx, q_gate));
+        }
+        arb = cx->q_arb;
+        if ((c = gate_can_admit(cx, gate, ctrl)) <= 0) {
+            r = c;
+            goto done;
+        }
+        if (NEED_CTRL(cx, ctrl) < 0 || (now = ctx_now(cx)) == NULL)
+            goto done;
+        n = PyList_GET_SIZE(queues);
+        if (n > alloc) {
+            if (eligible != small)
+                PyMem_Free(eligible);
+            if ((eligible = PyMem_Malloc(n)) == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            alloc = n;
+        }
+        any = 0;
+        for (i = 0; i < n; i++) {
+            if ((depth = queue_depth(PyList_GET_ITEM(queues, i))) < 0)
+                goto done;
+            eligible[i] = depth > 0;
+            any |= eligible[i];
+        }
+        if (!any) {
+            r = 0;
+            goto done;
+        }
+        if ((index = qos_select(arbiter, arb, queues, eligible, n)) < 0)
+            goto done;
+        queue = PyList_GET_ITEM(queues, index);
+        Py_INCREF(queue);
+        if ((command = queue_pop(queue, now)) == NULL
+                || (depth = queue_depth(queue)) < 0
+                || (depth == 0 && arbiter_note_empty(arbiter, arb, index) < 0)
+                || attr_add(gate, S_outstanding, 1) < 0  /* note_dispatch */
+                || attr_add(host, S__issued, 1) < 0
+                || (request = slot_get(command, T_QueuedCommand, QC_request,
+                                       S_request)) == NULL
+                || controller_submit(cx, ctrl, request) < 0)
+            goto done;
+        Py_CLEAR(queue);
+        Py_CLEAR(command);
+        Py_CLEAR(request);
+        Py_CLEAR(now);
+    }
+done:
+    /* finally: self._pumping = False */
+    PyErr_Fetch(&et, &ev, &tb);
+    if (SA(host, _pumping, Py_False) < 0) {
+        Py_XDECREF(et);
+        Py_XDECREF(ev);
+        Py_XDECREF(tb);
+        r = -1;
+    }
+    else
+        PyErr_Restore(et, ev, tb);
+out:
+    if (eligible != small)
+        PyMem_Free(eligible);
+    Py_XDECREF(ctrl);
+    Py_XDECREF(queues);
+    Py_XDECREF(arbiter);
+    Py_XDECREF(gate);
+    Py_XDECREF(now);
+    Py_XDECREF(queue);
+    Py_XDECREF(command);
+    Py_XDECREF(request);
+    return r;
+}
+
+/* MultiTenantHost._enqueue(t_index, s_index) for a stock host: the
+ * stream's next op as a Request carrying a TenantCompletion, pushed on
+ * the tenant's queue, then _pump */
+static int
+qos_enqueue(Ctx *cx, PyObject *host, PyObject *t, PyObject *s)
+{
+    PyObject *spec = NULL, *v = NULL, *stream = NULL, *row = NULL,
+        *pos = NULL, *op = NULL, *now = NULL, *kind = NULL, *lpn = NULL,
+        *npages = NULL, *name = NULL, *request = NULL, *think = NULL,
+        *completion = NULL, *queue = NULL, *seq = NULL, *next = NULL;
+    int r = -1;
+
+    /* op = spec.streams[s_index][self._cursor[t_index][s_index]] */
+    if ((spec = PyObject_GetItem(cx->q_tenants, t)) == NULL
+            || (queue = PyObject_GetItem(cx->q_queues, t)) == NULL
+            || (v = GA(spec, streams)) == NULL
+            || (stream = PyObject_GetItem(v, s)) == NULL
+            || (row = PyObject_GetItem(cx->q_cursor, t)) == NULL
+            || (pos = PyObject_GetItem(row, s)) == NULL
+            || (op = PyObject_GetItem(stream, pos)) == NULL
+            || (now = ctx_now(cx)) == NULL)
+        goto done;
+    /* request = Request(now, op.kind, op.lpn, op.npages, tenant=spec.name)
+     * request.on_complete = TenantCompletion(self, t_index, s_index,
+     *                                        op.think_after) */
+    if ((kind = GA(op, kind)) == NULL || (lpn = GA(op, lpn)) == NULL
+            || (npages = GA(op, npages)) == NULL
+            || (name = GA(spec, name)) == NULL
+            || (request = new_request(now, kind, lpn, npages, name)) == NULL
+            || (think = GA(op, think_after)) == NULL
+            || (completion = T_TenantCompletion->tp_alloc(T_TenantCompletion,
+                                                          0)) == NULL)
+        goto done;
+    Py_INCREF(host);
+    SLOT(completion, TC_host) = host;
+    Py_INCREF(t);
+    SLOT(completion, TC_tenant) = t;
+    Py_INCREF(s);
+    SLOT(completion, TC_stream) = s;
+    Py_INCREF(think);
+    SLOT(completion, TC_think) = think;
+    /* self.queues[t_index].push(request, self._seq, now); self._seq += 1 */
+    if (RQ_SET(request, on_complete, completion) < 0
+            || (seq = GA(host, _seq)) == NULL
+            || queue_push(queue, request, seq, now) < 0
+            || (next = PyNumber_Add(seq, ONE)) == NULL
+            || SA(host, _seq, next) < 0)
+        goto done;
+    r = qos_pump(cx, host);
+done:
+    Py_XDECREF(spec);
+    Py_XDECREF(v);
+    Py_XDECREF(stream);
+    Py_XDECREF(row);
+    Py_XDECREF(pos);
+    Py_XDECREF(op);
+    Py_XDECREF(now);
+    Py_XDECREF(kind);
+    Py_XDECREF(lpn);
+    Py_XDECREF(npages);
+    Py_XDECREF(name);
+    Py_XDECREF(request);
+    Py_XDECREF(think);
+    Py_XDECREF(completion);
+    Py_XDECREF(queue);
+    Py_XDECREF(seq);
+    Py_XDECREF(next);
+    return r;
+}
+
+/* MultiTenantHost._on_done(t_index, s_index, think), reached through a
+ * TenantCompletion: the gate's completion, the stream's next enqueue
+ * scheduled after its think time, then _pump.  ``host`` was found
+ * stock by the caller. */
+static int
+qos_on_done(Ctx *cx, PyObject *host, PyObject *t, PyObject *s,
+            PyObject *think)
+{
+    PyObject *row = NULL, *v = NULL, *nv = NULL, *spec = NULL,
+        *streams = NULL, *stream = NULL, *fn = NULL, *args = NULL;
+    Py_ssize_t len;
+    int r = -1, c;
+
+    if (gate_note_complete(cx->q_gate) < 0)
+        return -1;
+    /* cursor = self._cursor[t_index]; cursor[s_index] += 1 */
+    if ((row = PyObject_GetItem(cx->q_cursor, t)) == NULL
+            || (v = PyObject_GetItem(row, s)) == NULL
+            || (nv = PyNumber_InPlaceAdd(v, ONE)) == NULL
+            || PyObject_SetItem(row, s, nv) < 0)
+        goto done;
+    Py_CLEAR(v);
+    Py_CLEAR(nv);
+    /* if cursor[s_index] < len(self.tenants[t_index].streams[s_index]):
+     *     self.sim.schedule(think, self._enqueue, t_index, s_index) */
+    if ((v = PyObject_GetItem(row, s)) == NULL
+            || (spec = PyObject_GetItem(cx->q_tenants, t)) == NULL
+            || (streams = GA(spec, streams)) == NULL
+            || (stream = PyObject_GetItem(streams, s)) == NULL
+            || (len = PyObject_Length(stream)) < 0
+            || (nv = PyLong_FromSsize_t(len)) == NULL
+            || (c = PyObject_RichCompareBool(v, nv, Py_LT)) < 0)
+        goto done;
+    if (c && ((fn = GA(host, _enqueue)) == NULL
+              || (args = PyTuple_Pack(2, t, s)) == NULL
+              || kernel_schedule(cx, think, fn, args) < 0))
+        goto done;
+    r = qos_pump(cx, host);
+done:
+    Py_XDECREF(row);
+    Py_XDECREF(v);
+    Py_XDECREF(nv);
+    Py_XDECREF(spec);
+    Py_XDECREF(streams);
+    Py_XDECREF(stream);
+    Py_XDECREF(fn);
+    Py_XDECREF(args);
+    return r;
+}
+
+/* MultiTenantHost._wake: ``self._wake_at = None; self._pump()`` */
+static int
+qos_wake(Ctx *cx, PyObject *host)
+{
+    if (SA(host, _wake_at, Py_None) < 0)
+        return -1;
+    return qos_pump(cx, host);
+}
+
+/* ------------------------------------------------------------------ */
+/* the FTL write path                                                 */
 
 #define NEED_FTL(cx, ftl) ctx_ftl((cx), (ftl))
 
@@ -3865,12 +5116,28 @@ mapping_map_write(Ctx *cx, PyObject *mapping, PyObject *lpn, long long ppn)
     return 0;
 }
 
-/* ``self._write_clock += 1; self._block_write_stamp[gb] = self._write_clock`` */
+/* BaseFtl._note_block_write(gb): ``self._write_clock += 1;
+ * self._block_write_stamp[gb] = self._write_clock`` (an override is
+ * called) */
 static int
 note_block_write(Ctx *cx, PyObject *ftl, long long gb)
 {
     long long clock;
-    if (NEED_FTL(cx, ftl) < 0 || ga_ll(ftl, S__write_clock, &clock) < 0
+    if (NEED_FTL(cx, ftl) < 0)
+        return -1;
+    if (!cx->nbw_stock) {
+        PyObject *v = PyLong_FromLongLong(gb), *res;
+        if (v == NULL)
+            return -1;
+        CALLOUT(L_FTL);
+        res = call_method1(ftl, S__note_block_write, v);
+        Py_DECREF(v);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        return 0;
+    }
+    if (ga_ll(ftl, S__write_clock, &clock) < 0
             || sa_ll(ftl, S__write_clock, clock + 1) < 0)
         return -1;
     return set_item_ll(cx->stamps, (Py_ssize_t)gb, clock + 1);
@@ -3994,26 +5261,41 @@ unpack2(PyObject *pair, PyObject **a, PyObject **b)
     return 0;
 }
 
-/* ppn of a PhysicalPageAddress on the flexFTL's device:
- * ``(channel * _cpc + chip) * _pages_per_chip + block * _ppb + page`` */
+/* NandGeometry.ppn(addr) on the FTL's geometry: the validated flat page
+ * number, or the Python method (which raises for an address outside
+ * the device, or runs a geometry of another class).  0 or -1. */
 static int
-addr_ppn(Ctx *cx, PyObject *addr, long long *ppn)
+geometry_ppn(Ctx *cx, PyObject *addr, long long *ppn)
 {
+    PyObject *res;
     long long f[4];
-    PyObject *names[4] = {S_channel, S_chip, S_block, S_page};
-    int i;
-    for (i = 0; i < 4; i++) {
-        PyObject *v = ppa_field(addr, i, names[i]);
-        int r;
-        if (v == NULL)
-            return -1;
-        r = as_ll(v, &f[i]);
-        Py_DECREF(v);
-        if (r < 0)
-            return -1;
+    int i, c;
+
+    if (cx->fg_chips >= 0 && Py_TYPE(addr) == T_PPA
+            && PyTuple_GET_SIZE(addr) == 4) {
+        for (i = 0; i < 4; i++) {
+            PyObject *v = PyTuple_GET_ITEM(addr, i);
+            int overflow;
+            if (!PyLong_CheckExact(v))
+                break;
+            f[i] = PyLong_AsLongLongAndOverflow(v, &overflow);
+            if (overflow)
+                break;
+        }
+        if (i == 4 && 0 <= f[0] && f[0] < cx->fg_channels && 0 <= f[1]
+                && f[1] < cx->fg_cpc && 0 <= f[2] && f[2] < cx->fg_bpc
+                && 0 <= f[3] && f[3] < cx->fg_ppb) {
+            *ppn = ((f[0] * cx->fg_cpc + f[1]) * cx->fg_bpc + f[2]) * cx->fg_ppb
+                + f[3];
+            return 0;
+        }
     }
-    *ppn = (f[0] * cx->f_cpc + f[1]) * cx->f_ppc + f[2] * cx->f_ppb + f[3];
-    return 0;
+    CALLOUT(L_NAND);
+    if ((res = call_method1(cx->fgeometry, S_ppn, addr)) == NULL)
+        return -1;
+    c = as_ll(res, ppn);
+    Py_DECREF(res);
+    return c;
 }
 
 /* ``self._enqueue_parity_backup(chip_id,
@@ -4122,140 +5404,47 @@ done:
     return r;
 }
 
-/* BaseFtl._gc_step for a stock FlexFtl: the relocation step natively
- * (allocating like FlexFtl._allocate_gc_page); the victim's erase, once
- * it is drained, stays in the Python method. */
-static PyObject *
-flex_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
+/* FlexFtl._allocate_gc_page: _take_msb, else _take_lsb(chip_id,
+ * for_gc=True), the installed fast block's page natively and the Python
+ * method to install one.  1 with *addr and *ptype set (new references),
+ * 0 when there is no room, -1 on error. */
+static int
+flex_allocate_gc(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+                 PyObject **addr, PyObject **ptype)
 {
-    PyObject *state = NULL, *job = NULL, *lpns = NULL, *lpn = NULL,
-        *mapping = NULL, *ppn = NULL, *taddr = NULL, *tptype = NULL,
-        *saddr = NULL, *hook = NULL, *pending = NULL, *op = NULL,
-        *res = NULL, *out = NULL, *manager = NULL, *fast = NULL, *target,
-        *geometry;
-    long long p, ppb, victim_gb, tppn;
-    int c;
+    PyObject *manager = NULL, *fast = NULL, *target;
+    long long ppn;
+    int r = -1, c;
 
-    if (NEED_FTL(cx, ftl) < 0
-            || (state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL
-            || (job = GA(state, gc)) == NULL)
-        goto done;
-    if (job == Py_None) {
-        Py_INCREF(Py_None);
-        out = Py_None;
-        goto done;
-    }
-    ppb = cx->f_ppb;
-    mapping = CX(cx, mapping);
-    if ((lpns = GA(job, valid_lpns)) == NULL)
-        goto done;
-    for (;;) {
-        if ((c = truthy(lpns)) < 0)
-            goto done;
-        if (!c)
-            break;
-        if ((lpn = call_method0(lpns, S_popleft)) == NULL
-                || (ppn = mapping_lookup(cx, mapping, lpn)) == NULL)
-            goto done;
-        if (ppn != Py_None) {
-            if (as_ll(ppn, &p) < 0
-                    || ga_ll(job, S_victim_gb, &victim_gb) < 0)
-                goto done;
-        }
-        if (ppn == Py_None || p / ppb != victim_gb) {
-            /* superseded by a newer host write meanwhile */
-            Py_CLEAR(lpn);
-            Py_CLEAR(ppn);
-            continue;
-        }
-        /* target = self._allocate_gc_page(chip_id): _take_msb, else
-         * _take_lsb(chip_id, for_gc=True) */
-        if ((c = flex_take_msb(cx, ftl, chip, cid, &taddr)) < 0)
-            goto done;
-        if (c) {
+    if ((c = flex_take_msb(cx, ftl, chip, cid, addr)) != 0) {
+        if (c > 0) {
             Py_INCREF(P_MSB);
-            tptype = P_MSB;
+            *ptype = P_MSB;
         }
-        else if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
-                 || (fast = GA(manager, _fast)) == NULL)
+        return c;
+    }
+    if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
+            || (fast = GA(manager, _fast)) == NULL)
+        goto done;
+    if (fast != Py_None) {
+        if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, addr,
+                               &ppn) < 0)
             goto done;
-        else if (fast != Py_None) {
-            if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, &taddr,
-                                   &tppn) < 0)
-                goto done;
-            Py_INCREF(P_LSB);
-            tptype = P_LSB;
-        }
-        else {
-            /* no fast block: _take_lsb installs one (or finds no room) */
-            CALLOUT(L_FTL);
-            if ((target = call_method2(ftl, S__take_lsb, chip, Py_True)) == NULL)
-                goto done;
-            if (target == Py_None) {
-                /* no room to relocate: abandon for now, retry later */
-                Py_DECREF(target);
-                if ((res = call_method1(lpns, S_appendleft, lpn)) == NULL)
-                    goto done;
-                Py_INCREF(Py_None);
-                out = Py_None;
-                goto done;
-            }
-            c = unpack2(target, &taddr, &tptype);
-            Py_DECREF(target);
-            if (c < 0)
-                goto done;
-        }
-        if ((geometry = GA(ftl, geometry)) == NULL)
-            goto done;
-        saddr = geometry_address_of(cx, geometry, ppn);
-        Py_DECREF(geometry);
-        if (saddr == NULL || NEED_FTL(cx, ftl) < 0
-                || addr_ppn(cx, taddr, &tppn) < 0
-                || mapping_map_write(cx, mapping, lpn, tppn) < 0
-                || note_block_write(cx, ftl, tppn / ppb) < 0
-                || attr_add(ftl, S_gc_programs, 1) < 0
-                || attr_add(job, S_copied, 1) < 0)
-            goto done;
-        if ((hook = GA(ftl, _after_gc_program)) == NULL)
-            goto done;
-        if (hook != Py_None) {
-            /* an FTL hook: device-internal, so the cache stands */
-            CALLOUT(L_FTL);
-            res = PyObject_CallFunctionObjArgs(hook, chip, taddr, tptype, NULL);
-            if (res == NULL)
-                goto done;
-            Py_CLEAR(res);
-        }
-        /* state.pending.append(FlashOp(PROGRAM, target_addr, tag="gc",
-         *                              lpn=lpn, source=source_addr)) */
-        if ((op = new_op(K_PROGRAM, taddr, S_gc, lpn, saddr)) == NULL
-                || (pending = GA(state, pending)) == NULL
-                || (res = call_method1(pending, S_append, op)) == NULL)
-            goto done;
-        out = new_op(K_READ, saddr, S_gc, lpn, Py_None);
+        Py_INCREF(P_LSB);
+        *ptype = P_LSB;
+        r = 1;
         goto done;
     }
-    /* victim drained: the Python step erases and recycles it */
+    /* no fast block: _take_lsb installs one (or finds no room) */
     CALLOUT(L_FTL);
-    out = call_method1(ftl, S__gc_step, chip);
-    ctx_flush_after(cx, L_FTL);
+    if ((target = call_method2(ftl, S__take_lsb, chip, Py_True)) == NULL)
+        goto done;
+    r = target == Py_None ? 0 : unpack2(target, addr, ptype) < 0 ? -1 : 1;
+    Py_DECREF(target);
 done:
-    Py_XDECREF(state);
-    Py_XDECREF(job);
-    Py_XDECREF(lpns);
-    Py_XDECREF(lpn);
-    Py_XDECREF(mapping);
-    Py_XDECREF(ppn);
-    Py_XDECREF(taddr);
-    Py_XDECREF(tptype);
-    Py_XDECREF(saddr);
-    Py_XDECREF(hook);
-    Py_XDECREF(pending);
-    Py_XDECREF(op);
-    Py_XDECREF(res);
     Py_XDECREF(manager);
     Py_XDECREF(fast);
-    return out;
+    return r;
 }
 
 /* ``policy.decisions[choice] += 1`` */
@@ -4310,11 +5499,396 @@ flex_choose(Ctx *cx, PyObject *buffer)
     return choice;
 }
 
+/* FlexFtl._allocate_host_page: _lsb_available, PolicyManager.choose,
+ * then _take_lsb (the installed fast block's page natively, the Python
+ * method to install one) or _take_msb.  1/0/-1 as flex_allocate_gc. */
+static int
+flex_allocate_host(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+                   PyObject **addr, PyObject **ptype)
+{
+    PyObject *manager = NULL, *fast = NULL, *sbqueue = NULL, *state = NULL,
+        *v = NULL, *choice, *alloc = NULL;
+    long long wordlines, fnext = 0, free_n, ppn;
+    int r = -1, c, lsb_available, msb_available;
+
+    if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
+            || (fast = GA(manager, _fast)) == NULL
+            || (sbqueue = GA(manager, _sbqueue)) == NULL
+            || ga_ll(manager, S_wordlines, &wordlines) < 0)
+        goto done;
+    if (fast != Py_None && ga_ll(fast, S__next, &fnext) < 0)
+        goto done;
+    if (fast != Py_None && fnext < wordlines)
+        lsb_available = 1;
+    else {
+        if ((state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL
+                || (v = GA(state, free_blocks)) == NULL
+                || (free_n = PyObject_Length(v)) < 0)
+            goto done;
+        lsb_available = free_n > cx->reserve;
+    }
+    if ((msb_available = truthy(sbqueue)) < 0)
+        goto done;
+    if (!lsb_available && !msb_available) {
+        r = 0;
+        goto done;
+    }
+    if (!msb_available)
+        choice = P_LSB;
+    else if (!lsb_available)
+        choice = P_MSB;
+    else if ((choice = flex_choose(cx, cx->fbuffer)) == NULL)
+        goto done;
+    if (count_decision(cx, choice) < 0)
+        goto done;
+    if (choice == P_LSB && fast != Py_None) {
+        /* _take_lsb with an installed fast block */
+        if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, addr,
+                               &ppn) < 0)
+            goto done;
+        Py_INCREF(P_LSB);
+        *ptype = P_LSB;
+        r = 1;
+    }
+    else if (choice == P_LSB) {
+        /* no fast block: _take_lsb installs one, else _take_msb when
+         * the manager has a slow block */
+        CALLOUT(L_FTL);
+        if ((alloc = call_method2(ftl, S__take_lsb, chip, Py_False)) == NULL)
+            goto done;
+        if (alloc != Py_None)
+            r = unpack2(alloc, addr, ptype) < 0 ? -1 : 1;
+        else if (!msb_available)
+            r = 0;
+        else if ((r = flex_take_msb(cx, ftl, chip, cid, addr)) > 0) {
+            Py_INCREF(P_MSB);
+            *ptype = P_MSB;
+        }
+    }
+    else {
+        /* _take_msb (the choice implies a non-empty SBQueue) */
+        if ((c = flex_take_msb(cx, ftl, chip, cid, addr)) < 0)
+            goto done;
+        if (c == 0) {
+            PyErr_SetString(PyExc_IndexError, "deque index out of range");
+            goto done;
+        }
+        Py_INCREF(P_MSB);
+        *ptype = P_MSB;
+        r = 1;
+    }
+done:
+    Py_XDECREF(manager);
+    Py_XDECREF(fast);
+    Py_XDECREF(sbqueue);
+    Py_XDECREF(state);
+    Py_XDECREF(v);
+    Py_XDECREF(alloc);
+    return r;
+}
+
+/* PageFtl._allocate(chip_id, for_gc), which pageFTL and parityFTL use
+ * for both allocations: the active FpsCursor's next page (FpsCursor.take
+ * -> split_index -> BaseFtl._page_address) natively.  The Python method
+ * runs to install a cursor (_take_free_block) and to take a block's last
+ * page (_mark_block_full).  1/0/-1 as flex_allocate_gc. */
+static int
+fps_allocate(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+             int for_gc, PyObject **addr, PyObject **ptype)
+{
+    PyObject *cursor, *order = NULL, *block = NULL, *f[3] = {NULL}, *res;
+    long long pos, index, channel;
+    int r = -1, i;
+
+    if ((cursor = item_at(cx->active, (Py_ssize_t)cid)) == NULL)
+        return -1;
+    if (Py_TYPE(cursor) != T_FpsCursor)
+        goto python;
+    if ((order = GA(cursor, _order)) == NULL || ga_ll(cursor, S__pos, &pos) < 0)
+        goto done;
+    /* index = self._order[self._pos]; self._pos += 1 (the last page and
+     * an exhausted cursor run in Python) */
+    if (!PyList_CheckExact(order) || pos < 0
+            || pos + 1 >= PyList_GET_SIZE(order))
+        goto python;
+    if (as_ll(PyList_GET_ITEM(order, (Py_ssize_t)pos), &index) < 0)
+        goto done;
+    if (index < 0)
+        goto python;                /* split_index raises */
+    if (sa_ll(cursor, S__pos, pos + 1) < 0
+            || (block = GA(cursor, block)) == NULL)
+        goto done;
+    /* channel, chip = divmod(chip_id, self._cpc);
+     * PhysicalPageAddress(channel, chip, block, 2 * wordline + ptype) */
+    channel = cid / cx->f_cpc;
+    if ((f[0] = PyLong_FromLongLong(channel)) == NULL
+            || (f[1] = PyLong_FromLongLong(cid - channel * cx->f_cpc)) == NULL
+            || (f[2] = PyLong_FromLongLong(index)) == NULL
+            || (*addr = new_ppa(f[0], f[1], block, f[2])) == NULL)
+        goto done;
+    *ptype = index & 1 ? P_MSB : P_LSB;
+    Py_INCREF(*ptype);
+    r = 1;
+    goto done;
+python:
+    CALLOUT(L_FTL);
+    if ((res = call_method2(ftl, S__allocate, chip,
+                            for_gc ? Py_True : Py_False)) == NULL)
+        goto done;
+    r = res == Py_None ? 0 : unpack2(res, addr, ptype) < 0 ? -1 : 1;
+    Py_DECREF(res);
+done:
+    Py_DECREF(cursor);
+    Py_XDECREF(order);
+    Py_XDECREF(block);
+    for (i = 0; i < 3; i++)
+        Py_XDECREF(f[i]);
+    return r;
+}
+
+/* The FTL's page allocation: ``_allocate_host_page(chip_id, now)``, or
+ * ``_allocate_gc_page(chip_id)`` when ``gc``.  flexFTL's and
+ * PageFtl._allocate's run natively; any other allocator is called (a
+ * device-internal call: the cache stands).  1 with *addr and *ptype set
+ * (new references), 0 when it returned None, -1 on error. */
+static int
+ftl_allocate(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+             PyObject *now, int gc, PyObject **addr, PyObject **ptype)
+{
+    PyObject *res;
+    int r;
+
+    *addr = *ptype = NULL;
+    if (cx->alloc == ALLOC_FLEX)
+        r = gc ? flex_allocate_gc(cx, ftl, chip, cid, addr, ptype)
+            : flex_allocate_host(cx, ftl, chip, cid, addr, ptype);
+    else if (cx->alloc == ALLOC_FPS)
+        r = fps_allocate(cx, ftl, chip, cid, gc, addr, ptype);
+    else {
+        CALLOUT(L_FTL);
+        res = gc ? call_method1(ftl, S__allocate_gc_page, chip)
+            : call_method2(ftl, S__allocate_host_page, chip, now);
+        if (res == NULL)
+            return -1;
+        r = res == Py_None ? 0 : unpack2(res, addr, ptype) < 0 ? -1 : 1;
+        Py_DECREF(res);
+    }
+    if (r <= 0) {
+        Py_CLEAR(*addr);
+        Py_CLEAR(*ptype);
+    }
+    return r;
+}
+
+/* ``self.mapping.note_block_erased(gb)``: nothing to do while the block
+ * holds no valid page (the Python method raises otherwise, and runs for
+ * another mapping class) */
+static int
+note_block_erased(Ctx *cx, PyObject *mapping, PyObject *gb)
+{
+    PyObject *res;
+    long long g, valid;
+    int c;
+
+    if (Py_TYPE(mapping) == T_Mapping && PyLong_CheckExact(gb)) {
+        if ((c = bound_to(mapping, S_note_block_erased,
+                          F_note_block_erased)) < 0
+                || ctx_mapping(cx, mapping) < 0 || as_ll(gb, &g) < 0)
+            return -1;
+        if (c && PyList_CheckExact(cx->valid) && 0 <= g
+                && g < PyList_GET_SIZE(cx->valid)) {
+            if (item_ll(cx->valid, (Py_ssize_t)g, &valid) < 0)
+                return -1;
+            if (valid == 0)
+                return 0;
+        }
+    }
+    CALLOUT(L_FTL);
+    if ((res = call_method1(mapping, S_note_block_erased, gb)) == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The erase step of BaseFtl._gc_step, the victim drained:
+ *
+ *     state.gc = None
+ *     self.mapping.note_block_erased(job.victim_gb)
+ *     state.free_blocks.append(job.victim_block)
+ *     if self._after_gc_complete is not None: hook(chip_id, job)
+ *     return FlashOp(ERASE, PhysicalPageAddress(
+ *         *self.geometry.chip_coords(chip_id), job.victim_block, 0), "gc")
+ *
+ * The hook is device-internal: the cache stands. */
+static PyObject *
+gc_erase_step(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *job,
+              PyObject *chip, long long cid)
+{
+    PyObject *gb = NULL, *block = NULL, *v = NULL, *res, *channel = NULL,
+        *chip_no = NULL, *addr = NULL, *out = NULL;
+    long long ch;
+
+    if (SA(state, gc, Py_None) < 0 || (gb = GA(job, victim_gb)) == NULL
+            || note_block_erased(cx, cx->mapping, gb) < 0
+            || (block = GA(job, victim_block)) == NULL
+            || (v = GA(state, free_blocks)) == NULL
+            || (res = call_method1(v, S_append, block)) == NULL)
+        goto done;
+    Py_DECREF(res);
+    Py_CLEAR(v);
+    if ((v = GA(ftl, _after_gc_complete)) == NULL)
+        goto done;
+    if (v != Py_None) {
+        CALLOUT(L_FTL);
+        if ((res = PyObject_CallFunctionObjArgs(v, chip, job, NULL)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    if (cx->fg_chips >= 0 && 0 <= cid && cid < cx->fg_chips) {
+        ch = cid / cx->fg_cpc;
+        if ((channel = PyLong_FromLongLong(ch)) == NULL
+                || (chip_no = PyLong_FromLongLong(cid - ch * cx->fg_cpc))
+                   == NULL)
+            goto done;
+    }
+    else {
+        /* another geometry class, or out of range (which raises) */
+        CALLOUT(L_NAND);
+        if ((res = call_method1(cx->fgeometry, S_chip_coords, chip)) == NULL)
+            goto done;
+        if (unpack2(res, &channel, &chip_no) < 0) {
+            Py_DECREF(res);
+            goto done;
+        }
+        Py_DECREF(res);
+    }
+    if ((addr = new_ppa(channel, chip_no, block, ZERO)) == NULL)
+        goto done;
+    out = new_op(K_ERASE, addr, S_gc, Py_None, Py_None);
+done:
+    Py_XDECREF(gb);
+    Py_XDECREF(block);
+    Py_XDECREF(v);
+    Py_XDECREF(channel);
+    Py_XDECREF(chip_no);
+    Py_XDECREF(addr);
+    return out;
+}
+
+/* BaseFtl._gc_step: one relocation (the GC read, with the program of the
+ * relocated page queued behind it) through ftl_allocate, or the victim's
+ * erase once it is drained.  An override is called. */
+static PyObject *
+ftl_gc_step(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid)
+{
+    PyObject *state = NULL, *job = NULL, *lpns = NULL, *lpn = NULL,
+        *mapping = NULL, *ppn = NULL, *taddr = NULL, *tptype = NULL,
+        *saddr = NULL, *hook = NULL, *pending = NULL, *op = NULL,
+        *res = NULL, *out = NULL;
+    long long p = 0, ppb, victim_gb = 0, tppn;
+    int c;
+
+    if (NEED_FTL(cx, ftl) < 0)
+        return NULL;
+    if (!cx->gs_stock) {
+        CALLOUT(L_FTL);
+        out = call_method1(ftl, S__gc_step, chip);
+        ctx_flush_after(cx, L_FTL);
+        return out;
+    }
+    if ((state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL
+            || (job = GA(state, gc)) == NULL)
+        goto done;
+    if (job == Py_None) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    ppb = cx->f_ppb;
+    mapping = CX(cx, mapping);
+    if ((lpns = GA(job, valid_lpns)) == NULL)
+        goto done;
+    for (;;) {
+        if ((c = truthy(lpns)) < 0)
+            goto done;
+        if (!c)
+            break;
+        if ((lpn = call_method0(lpns, S_popleft)) == NULL
+                || (ppn = mapping_lookup(cx, mapping, lpn)) == NULL)
+            goto done;
+        if (ppn != Py_None) {
+            if (as_ll(ppn, &p) < 0
+                    || ga_ll(job, S_victim_gb, &victim_gb) < 0)
+                goto done;
+        }
+        if (ppn == Py_None || p / ppb != victim_gb) {
+            /* superseded by a newer host write meanwhile */
+            Py_CLEAR(lpn);
+            Py_CLEAR(ppn);
+            continue;
+        }
+        if ((c = ftl_allocate(cx, ftl, chip, cid, NULL, 1, &taddr,
+                              &tptype)) < 0)
+            goto done;
+        if (c == 0) {
+            /* no room to relocate: abandon for now, retry later */
+            if ((res = call_method1(lpns, S_appendleft, lpn)) == NULL)
+                goto done;
+            Py_INCREF(Py_None);
+            out = Py_None;
+            goto done;
+        }
+        if (NEED_FTL(cx, ftl) < 0
+                || (saddr = geometry_address_of(cx, cx->fgeometry, ppn))
+                   == NULL
+                || geometry_ppn(cx, taddr, &tppn) < 0
+                || mapping_map_write(cx, mapping, lpn, tppn) < 0
+                || note_block_write(cx, ftl, tppn / ppb) < 0
+                || attr_add(ftl, S_gc_programs, 1) < 0
+                || attr_add(job, S_copied, 1) < 0)
+            goto done;
+        if ((hook = GA(ftl, _after_gc_program)) == NULL)
+            goto done;
+        if (hook != Py_None) {
+            /* an FTL hook: device-internal, so the cache stands */
+            CALLOUT(L_FTL);
+            res = PyObject_CallFunctionObjArgs(hook, chip, taddr, tptype, NULL);
+            if (res == NULL)
+                goto done;
+            Py_CLEAR(res);
+        }
+        /* state.pending.append(FlashOp(PROGRAM, target_addr, tag="gc",
+         *                              lpn=lpn, source=source_addr)) */
+        if ((op = new_op(K_PROGRAM, taddr, S_gc, lpn, saddr)) == NULL
+                || (pending = GA(state, pending)) == NULL
+                || (res = call_method1(pending, S_append, op)) == NULL)
+            goto done;
+        out = new_op(K_READ, saddr, S_gc, lpn, Py_None);
+        goto done;
+    }
+    out = gc_erase_step(cx, ftl, state, job, chip, cid);
+done:
+    Py_XDECREF(state);
+    Py_XDECREF(job);
+    Py_XDECREF(lpns);
+    Py_XDECREF(lpn);
+    Py_XDECREF(mapping);
+    Py_XDECREF(ppn);
+    Py_XDECREF(taddr);
+    Py_XDECREF(tptype);
+    Py_XDECREF(saddr);
+    Py_XDECREF(hook);
+    Py_XDECREF(pending);
+    Py_XDECREF(op);
+    Py_XDECREF(res);
+    return out;
+}
+
 /* The write-blocked branch of BaseFtl._host_write_op: start (or
  * promote) a foreground collection and step it. */
 static PyObject *
-flex_write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
-                   long long cid)
+write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
+              long long cid)
 {
     PyObject *gc, *v, *res;
     int c;
@@ -4357,7 +5931,7 @@ flex_write_blocked(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
             goto error;
         if (!c) {
             Py_DECREF(gc);
-            return flex_gc_step(cx, ftl, chip, cid);
+            return ftl_gc_step(cx, ftl, chip, cid);
         }
     }
     Py_DECREF(gc);
@@ -4367,37 +5941,143 @@ error:
     return NULL;
 }
 
-/* FlexFtl.next_op: deferred parity invalidation, then BaseFtl.next_op
- * with _host_write_op, FlexFtl._allocate_host_page (_lsb_available,
- * PolicyManager.choose, _take_msb and _take_lsb's installed-fast-block
- * case), WriteBuffer.pop and MappingTable.map_write fused in. */
+/* WriteBuffer.pop (new reference): open-coded for an exact WriteBuffer
+ * with no stale marks, the Python method otherwise */
 static PyObject *
-flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
-             PyObject *now)
+buffer_pop(PyObject *buffer)
 {
-    PyObject *v = NULL, *state = NULL, *buffer = NULL, *manager = NULL,
-        *fast = NULL, *sbqueue = NULL, *choice, *addr = NULL, *ptype = NULL,
-        *alloc = NULL, *entry = NULL, *lpn = NULL,
-        *out = NULL, *res;
-    long long wordlines, fnext = 0, free_n, live, ppn = 0;
-    int c, lsb_available, msb_available;
+    PyObject *v, *fifo, *resident, *entry, *elpn, *count;
+    long long n;
+    int c;
 
-    if (NEED_FTL(cx, ftl) < 0)
-        return NULL;
-    /* if self._pending_invalidations[chip_id]:
-     *     self._flush_parity_invalidations(chip_id) */
-    if ((v = item_at(cx->pinv, (Py_ssize_t)cid)) == NULL
-            || (c = truthy(v)) < 0)
-        goto done;
-    Py_CLEAR(v);
+    if (Py_TYPE(buffer) == T_WriteBuffer) {
+        if ((v = GA(buffer, _stale)) == NULL || (c = truthy(v)) < 0) {
+            Py_XDECREF(v);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    else
+        c = 1;
     if (c) {
+        CALLOUT(L_CONTROLLER);
+        return call_method0(buffer, S_pop);
+    }
+    if ((fifo = GA(buffer, _fifo)) == NULL)
+        return NULL;
+    entry = call_method0(fifo, S_popleft);
+    Py_DECREF(fifo);
+    if (entry == NULL)
+        return NULL;
+    if ((elpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL)
+        goto error;
+    if ((resident = GA(buffer, _resident)) == NULL) {
+        Py_DECREF(elpn);
+        goto error;
+    }
+    count = PyObject_GetItem(resident, elpn);
+    c = count == NULL ? -1 : as_ll(count, &n);
+    Py_XDECREF(count);
+    if (c == 0) {
+        if (n - 1) {
+            PyObject *nv = PyLong_FromLongLong(n - 1);
+            c = nv == NULL ? -1 : PyObject_SetItem(resident, elpn, nv);
+            Py_XDECREF(nv);
+        }
+        else
+            c = PyObject_DelItem(resident, elpn);
+    }
+    Py_DECREF(resident);
+    Py_DECREF(elpn);
+    if (c < 0 || attr_add(buffer, S__live, -1) < 0)
+        goto error;
+    return entry;
+error:
+    Py_DECREF(entry);
+    return NULL;
+}
+
+/* BaseFtl._host_write_op (an override is called): the allocation
+ * through ftl_allocate, WriteBuffer.pop, NandGeometry.ppn,
+ * MappingTable.map_write and _note_block_write. */
+static PyObject *
+ftl_host_write_op(Ctx *cx, PyObject *ftl, PyObject *state, PyObject *chip,
+                  long long cid, PyObject *now)
+{
+    PyObject *buffer, *v = NULL, *addr = NULL, *ptype = NULL, *entry = NULL,
+        *lpn = NULL, *out = NULL, *res;
+    long long live, ppn;
+    int c;
+
+    if (!cx->hw_stock) {
         CALLOUT(L_FTL);
-        if ((res = call_method1(ftl, S__flush_parity_invalidations, chip)) == NULL)
+        return call_method2(ftl, S__host_write_op, chip, now);
+    }
+    buffer = CX(cx, fbuffer);
+    /* if buffer.is_empty: return None */
+    if (Py_TYPE(buffer) == T_WriteBuffer) {
+        if (ga_ll(buffer, S__live, &live) < 0)
+            goto done;
+        c = live == 0;
+    }
+    else if ((v = GA(buffer, is_empty)) == NULL || (c = truthy(v)) < 0)
+        goto done;
+    if (c) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+        goto done;
+    }
+    if ((c = ftl_allocate(cx, ftl, chip, cid, now, 0, &addr, &ptype)) < 0)
+        goto done;
+    if (c == 0) {
+        out = write_blocked(cx, ftl, state, chip, cid);
+        goto done;
+    }
+    if ((entry = buffer_pop(buffer)) == NULL
+            || (lpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL
+            || NEED_FTL(cx, ftl) < 0
+            || geometry_ppn(cx, addr, &ppn) < 0
+            || mapping_map_write(cx, cx->mapping, lpn, ppn) < 0
+            || note_block_write(cx, ftl, ppn / cx->f_ppb) < 0
+            || attr_add(ftl, S_host_programs, 1) < 0)
+        goto done;
+    Py_XSETREF(v, GA(ftl, _after_host_program));
+    if (v == NULL)
+        goto done;
+    if (v != Py_None) {
+        /* an FTL hook (parity pre-backup, the tracer's allocation
+         * capture, the predictor's observation): device-internal, so
+         * the cache stands */
+        CALLOUT(L_FTL);
+        res = PyObject_CallFunctionObjArgs(v, chip, addr, ptype, now, NULL);
+        if (res == NULL)
             goto done;
         Py_DECREF(res);
     }
+    out = new_op(K_PROGRAM, addr, S_host, lpn, Py_None);
+done:
+    Py_DECREF(buffer);
+    Py_XDECREF(v);
+    Py_XDECREF(addr);
+    Py_XDECREF(ptype);
+    Py_XDECREF(entry);
+    Py_XDECREF(lpn);
+    return out;
+}
+
+/* BaseFtl.next_op: queued work, fault recovery (Python), a foreground
+ * GC step, then a host write. */
+static PyObject *
+ftl_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+            PyObject *now)
+{
+    PyObject *state, *v = NULL, *res, *out = NULL;
+    int c;
+
+    if (NEED_FTL(cx, ftl) < 0)
+        return NULL;
     if ((state = item_at(cx->chips, (Py_ssize_t)cid)) == NULL)
-        goto done;
+        return NULL;
     /* if state.pending: return state.pending.popleft() */
     if ((v = GA(state, pending)) == NULL || (c = truthy(v)) < 0)
         goto done;
@@ -4437,166 +6117,44 @@ flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
         if (c < 0)
             goto done;
         if (!c) {
-            out = flex_gc_step(cx, ftl, chip, cid);
+            out = ftl_gc_step(cx, ftl, chip, cid);
             goto done;
         }
     }
-    Py_CLEAR(v);
-    /* ---- BaseFtl._host_write_op ---- */
-    buffer = CX(cx, fbuffer);
-    if (ga_ll(buffer, S__live, &live) < 0)
-        goto done;
-    if (!live) {
-        Py_INCREF(Py_None);
-        out = Py_None;
-        goto done;
-    }
-    /* ---- FlexFtl._allocate_host_page: _lsb_available, choose ---- */
-    if ((manager = item_at(cx->managers, (Py_ssize_t)cid)) == NULL
-            || (fast = GA(manager, _fast)) == NULL
-            || (sbqueue = GA(manager, _sbqueue)) == NULL
-            || ga_ll(manager, S_wordlines, &wordlines) < 0)
-        goto done;
-    if (fast != Py_None && ga_ll(fast, S__next, &fnext) < 0)
-        goto done;
-    if (fast != Py_None && fnext < wordlines)
-        lsb_available = 1;
-    else {
-        if ((v = GA(state, free_blocks)) == NULL
-                || (free_n = PyObject_Length(v)) < 0)
-            goto done;
-        Py_CLEAR(v);
-        lsb_available = free_n > cx->reserve;
-    }
-    if ((msb_available = truthy(sbqueue)) < 0)
-        goto done;
-    if (lsb_available || msb_available) {
-        if (!msb_available)
-            choice = P_LSB;
-        else if (!lsb_available)
-            choice = P_MSB;
-        else if ((choice = flex_choose(cx, buffer)) == NULL)
-            goto done;
-        if (count_decision(cx, choice) < 0)
-            goto done;
-        if (choice == P_LSB && fast != Py_None) {
-            /* _take_lsb with an installed fast block */
-            if (flex_take_fast_lsb(cx, ftl, chip, cid, manager, fast, &addr,
-                                   &ppn) < 0)
-                goto done;
-            Py_INCREF(P_LSB);
-            ptype = P_LSB;
-        }
-        else if (choice == P_LSB) {
-            /* no fast block: _take_lsb installs one (or falls to MSB) */
-            CALLOUT(L_FTL);
-            if ((alloc = call_method2(ftl, S__take_lsb, chip, Py_False)) == NULL)
-                goto done;
-            if (alloc == Py_None) {
-                Py_DECREF(alloc);
-                CALLOUT(L_FTL);
-                if ((alloc = PyObject_CallMethod(ftl, "_take_msb", "O",
-                                                 chip)) == NULL)
-                    goto done;
-            }
-        }
-        else {
-            /* _take_msb (the choice implies a non-empty SBQueue) */
-            if ((c = flex_take_msb(cx, ftl, chip, cid, &addr)) < 0)
-                goto done;
-            if (c == 0) {
-                PyErr_SetString(PyExc_IndexError, "deque index out of range");
-                goto done;
-            }
-            Py_INCREF(P_MSB);
-            ptype = P_MSB;
-            if (addr_ppn(cx, addr, &ppn) < 0)
-                goto done;
-        }
-    }
-    if (addr == NULL) {
-        if (alloc == NULL || alloc == Py_None) {
-            out = flex_write_blocked(cx, ftl, state, chip, cid);
-            goto done;
-        }
-        if (unpack2(alloc, &addr, &ptype) < 0 || NEED_FTL(cx, ftl) < 0
-                || addr_ppn(cx, addr, &ppn) < 0)
-            goto done;
-    }
-    /* ---- WriteBuffer.pop ---- */
-    if ((v = GA(buffer, _stale)) == NULL || (c = truthy(v)) < 0)
-        goto done;
-    Py_CLEAR(v);
+    out = ftl_host_write_op(cx, ftl, state, chip, cid, now);
+done:
+    Py_DECREF(state);
+    Py_XDECREF(v);
+    return out;
+}
+
+/* FlexFtl.next_op: the deferred parity invalidations, then
+ * BaseFtl.next_op. */
+static PyObject *
+flex_next_op(Ctx *cx, PyObject *ftl, PyObject *chip, long long cid,
+             PyObject *now)
+{
+    PyObject *v, *res;
+    int c;
+
+    if (NEED_FTL(cx, ftl) < 0)
+        return NULL;
+    /* if self._pending_invalidations[chip_id]:
+     *     self._flush_parity_invalidations(chip_id) */
+    if ((v = item_at(cx->pinv, (Py_ssize_t)cid)) == NULL)
+        return NULL;
+    c = truthy(v);
+    Py_DECREF(v);
+    if (c < 0)
+        return NULL;
     if (c) {
-        CALLOUT(L_CONTROLLER);
-        if ((entry = call_method0(buffer, S_pop)) == NULL)
-            goto done;
-    }
-    else {
-        PyObject *fifo = GA(buffer, _fifo), *resident, *elpn, *count;
-        long long n;
-        if (fifo == NULL)
-            goto done;
-        entry = call_method0(fifo, S_popleft);
-        Py_DECREF(fifo);
-        if (entry == NULL)
-            goto done;
-        if ((elpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL)
-            goto done;
-        if ((resident = GA(buffer, _resident)) == NULL) {
-            Py_DECREF(elpn);
-            goto done;
-        }
-        count = PyObject_GetItem(resident, elpn);
-        c = count == NULL ? -1 : as_ll(count, &n);
-        Py_XDECREF(count);
-        if (c == 0) {
-            if (n - 1) {
-                PyObject *nv = PyLong_FromLongLong(n - 1);
-                c = nv == NULL ? -1 : PyObject_SetItem(resident, elpn, nv);
-                Py_XDECREF(nv);
-            }
-            else
-                c = PyObject_DelItem(resident, elpn);
-        }
-        Py_DECREF(resident);
-        Py_DECREF(elpn);
-        if (c < 0 || attr_add(buffer, S__live, -1) < 0)
-            goto done;
-    }
-    if ((lpn = slot_get(entry, T_BufferedWrite, BW_lpn, S_lpn)) == NULL)
-        goto done;
-    /* ---- MappingTable.map_write and write-clock accounting ---- */
-    if (NEED_FTL(cx, ftl) < 0
-            || mapping_map_write(cx, cx->mapping, lpn, ppn) < 0
-            || note_block_write(cx, ftl, ppn / cx->f_ppb) < 0
-            || attr_add(ftl, S_host_programs, 1) < 0)
-        goto done;
-    if ((v = GA(ftl, _after_host_program)) == NULL)
-        goto done;
-    if (v != Py_None) {
-        /* an FTL hook (the tracer's allocation capture, the predictor's
-         * observation): device-internal, so the cache stands */
         CALLOUT(L_FTL);
-        res = PyObject_CallFunctionObjArgs(v, chip, addr, ptype, now, NULL);
-        if (res == NULL)
-            goto done;
+        if ((res = call_method1(ftl, S__flush_parity_invalidations, chip))
+                == NULL)
+            return NULL;
         Py_DECREF(res);
     }
-    out = new_op(K_PROGRAM, addr, S_host, lpn, Py_None);
-done:
-    Py_XDECREF(v);
-    Py_XDECREF(state);
-    Py_XDECREF(buffer);
-    Py_XDECREF(manager);
-    Py_XDECREF(fast);
-    Py_XDECREF(sbqueue);
-    Py_XDECREF(addr);
-    Py_XDECREF(ptype);
-    Py_XDECREF(alloc);
-    Py_XDECREF(entry);
-    Py_XDECREF(lpn);
-    return out;
+    return ftl_next_op(cx, ftl, chip, cid, now);
 }
 
 /* ------------------------------------------------------------------ */
@@ -4649,6 +6207,36 @@ dispatch(Ctx *cx, PyObject *fn, PyObject *args)
                                              PyTuple_GET_ITEM(args, 0),
                                              PyTuple_GET_ITEM(args, 1),
                                              PyTuple_GET_ITEM(args, 2));
+            }
+        }
+        else if (func == F_qos_enqueue || func == F_qos_wake) {
+            /* a QoS host: natively when qos_stock holds, its Python
+             * handler (counted under "handler") otherwise */
+            Py_ssize_t nargs = func == F_qos_enqueue ? 2 : 0;
+            PyObject *ctrl = GA(self, controller);
+            if (ctrl == NULL)
+                return -1;
+            reason = ctx_reason(cx, ctrl);
+            Py_DECREF(ctrl);
+            if (reason == WHY_OK)
+                reason = ctx_stock(cx);
+            if (reason == WHY_OK) {
+                int c = qos_stock(cx, self);
+                if (c < 0)
+                    return -1;
+                if (!c)
+                    reason = WHY_HANDLER;
+            }
+            if (reason < 0)
+                return -1;
+            if (reason == WHY_OK && !(PyTuple_CheckExact(args)
+                                      && PyTuple_GET_SIZE(args) == nargs))
+                reason = WHY_ARGS;
+            if (reason == WHY_OK) {
+                cov_native++;
+                return nargs ? qos_enqueue(cx, self, PyTuple_GET_ITEM(args, 0),
+                                           PyTuple_GET_ITEM(args, 1))
+                    : qos_wake(cx, self);
             }
         }
         else if (func == F_stream_issue || func == F_closed_issue) {
@@ -5024,6 +6612,49 @@ bind(void)
             || (T_SimStats = type_ref(refs, "SimStats")) == NULL
             || (T_Event = type_ref(refs, "Event")) == NULL
             || (T_Completion = type_ref(refs, "StreamCompletion")) == NULL
+            || (T_FpsCursor = type_ref(refs, "FpsCursor")) == NULL
+            || (T_QosHost = type_ref(refs, "MultiTenantHost")) == NULL
+            || (T_TenantCompletion = type_ref(refs, "TenantCompletion")) == NULL
+            || (T_SubQueue = type_ref(refs, "SubmissionQueue")) == NULL
+            || (T_QueuedCommand = type_ref(refs, "QueuedCommand")) == NULL
+            || (T_Gate = type_ref(refs, "AdmissionGate")) == NULL
+            || (T_SloAccountant = type_ref(refs, "SloAccountant")) == NULL
+            || (T_TenantAccount = type_ref(refs, "TenantAccount")) == NULL
+            || (T_ChainedHook = type_ref(refs, "ChainedHook")) == NULL
+            || (T_Arbiter[ARB_FIFO] = type_ref(refs, "FifoArbiter")) == NULL
+            || (T_Arbiter[ARB_RR] = type_ref(refs, "RoundRobinArbiter")) == NULL
+            || (T_Arbiter[ARB_WRR] = type_ref(refs, "WeightedRoundRobinArbiter"))
+               == NULL
+            || (T_Arbiter[ARB_DRR] = type_ref(refs, "DeficitRoundRobinArbiter"))
+               == NULL
+            || (F_select[ARB_FIFO] = ref(refs, "fifo_select")) == NULL
+            || (F_select[ARB_RR] = ref(refs, "rr_select")) == NULL
+            || (F_select[ARB_WRR] = ref(refs, "wrr_select")) == NULL
+            || (F_select[ARB_DRR] = ref(refs, "drr_select")) == NULL
+            || (F_note_empty[ARB_FIFO] = ref(refs, "note_empty")) == NULL
+            || (F_note_empty[ARB_RR] = ref(refs, "note_empty")) == NULL
+            || (F_note_empty[ARB_WRR] = ref(refs, "note_empty")) == NULL
+            || (F_note_empty[ARB_DRR] = ref(refs, "drr_note_empty")) == NULL
+            || (F_base_next_op = ref(refs, "base_next_op")) == NULL
+            || (F_host_write_op = ref(refs, "host_write_op")) == NULL
+            || (F_gc_step = ref(refs, "gc_step")) == NULL
+            || (F_note_block_write = ref(refs, "note_block_write")) == NULL
+            || (F_note_block_erased = ref(refs, "note_block_erased")) == NULL
+            || (F_page_allocate = ref(refs, "page_allocate")) == NULL
+            || (F_page_alloc_host = ref(refs, "page_alloc_host")) == NULL
+            || (F_page_alloc_gc = ref(refs, "page_alloc_gc")) == NULL
+            || (F_page_address = ref(refs, "page_address")) == NULL
+            || (F_note_arrival = ref(refs, "note_arrival")) == NULL
+            || (F_qos_enqueue = ref(refs, "qos_enqueue")) == NULL
+            || (F_qos_wake = ref(refs, "qos_wake")) == NULL
+            || (F_slo_record = ref(refs, "slo_record")) == NULL
+            || (F_queue_push = ref(refs, "queue_push")) == NULL
+            || (F_queue_pop = ref(refs, "queue_pop")) == NULL
+            || (F_can_admit = ref(refs, "can_admit")) == NULL
+            || (F_note_dispatch = ref(refs, "note_dispatch")) == NULL
+            || (F_note_complete = ref(refs, "note_complete")) == NULL
+            || (K_ERASE = ref(refs, "ERASE")) == NULL
+            || (REQUEST_OK = ref(refs, "REQUEST_OK")) == NULL
             || (F_push = ref(refs, "push")) == NULL
             || (F_on_op_done = ref(refs, "on_op_done")) == NULL
             || (F_execute = ref(refs, "execute")) == NULL
@@ -5089,7 +6720,20 @@ bind(void)
             || member_offset(T_BufferedWrite, "request", &BW_request) < 0
             || member_offset(T_Completion, "host", &SC_host) < 0
             || member_offset(T_Completion, "index", &SC_index) < 0
-            || member_offset(T_Completion, "think", &SC_think) < 0)
+            || member_offset(T_Completion, "think", &SC_think) < 0
+            || member_offset(T_Request, "tenant", &RQ_tenant) < 0
+            || member_offset(T_Request, "status", &RQ_status) < 0
+            || member_offset(T_Request, "error", &RQ_error) < 0
+            || member_offset(T_QueuedCommand, "request", &QC_request) < 0
+            || member_offset(T_QueuedCommand, "seq", &QC_seq) < 0
+            || member_offset(T_QueuedCommand, "enqueued_at",
+                             &QC_enqueued_at) < 0
+            || member_offset(T_TenantCompletion, "host", &TC_host) < 0
+            || member_offset(T_TenantCompletion, "tenant", &TC_tenant) < 0
+            || member_offset(T_TenantCompletion, "stream", &TC_stream) < 0
+            || member_offset(T_TenantCompletion, "think", &TC_think) < 0
+            || member_offset(T_ChainedHook, "first", &CH_first) < 0
+            || member_offset(T_ChainedHook, "second", &CH_second) < 0)
         goto done;
     bound = 1;
     r = 0;
@@ -5129,6 +6773,7 @@ PyInit__core(void)
 #undef INTERN_NAME
     if ((ZERO = PyLong_FromLong(0)) == NULL
             || (ONE = PyLong_FromLong(1)) == NULL
+            || (FLOAT_ZERO = PyFloat_FromDouble(0.0)) == NULL
             || (KW_TENANT = PyTuple_Pack(1, S_tenant)) == NULL
             || (KW_SAMPLE = PyTuple_Pack(1, S_sample)) == NULL
             || (KW_NOW = PyTuple_Pack(1, S_now)) == NULL

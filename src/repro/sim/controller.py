@@ -132,11 +132,7 @@ class StorageController:
 
     def submit(self, request: Request) -> None:
         """Accept one host request at the current simulation time."""
-        # stats.note_arrival, inlined (once per host request)
-        stats = self.stats
-        first = stats.first_arrival
-        if first is None or request.time < first:
-            stats.first_arrival = request.time
+        self.stats.note_arrival(request)
         request.submitted_at = self.sim.now
         if request.kind is RequestKind.READ:
             self._submit_read(request)
@@ -223,10 +219,7 @@ class StorageController:
                         op = None
                     if op is None:
                         op = ftl_next_op(chip_id, now)
-                    # host_idle(), inlined
-                    if op is None \
-                            and not (admissions or self._queued_reads
-                                     or buffer._live) \
+                    if op is None and self.host_idle() \
                             and self.ftl.wants_background_gc(chip_id):
                         op = self.ftl.background_op(chip_id, now)
                     if op is None:

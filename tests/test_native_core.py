@@ -29,8 +29,9 @@ from repro.experiments.tlc_system import build_tlc_system
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.recovery import recover_after_power_loss
+from repro.fleet.device import DeviceRun
 from repro.fleet.service import FleetSpec, fleet_config, run_fleet
-from repro.ftl.base import FtlConfig
+from repro.ftl.base import BaseFtl, FtlConfig
 from repro.ftl.pageftl import PageFtl
 from repro.ftl.parityftl import ParityFtl
 from repro.ftl.rtfftl import RtfFtl
@@ -41,6 +42,7 @@ from repro.nand.geometry import NandGeometry, PhysicalPageAddress
 from repro.nand.page_types import PageType, page_index
 from repro.nand.sequence import SequenceScheme, constraint_violations
 from repro.perfbench import harness
+from repro.qos.arbiter import DeficitRoundRobinArbiter
 from repro.qos.slo import SloAccountant, _ChainedHook
 from repro.observability.tracer import Tracer
 from repro.reliability.physics import PhysicsConfig, PhysicsEngine
@@ -238,8 +240,8 @@ def test_fleet_fingerprint_in_quanta(use_core):
 
 
 def test_tenanted_fleet_fingerprint(use_core):
-    """pageFTL devices behind the DRR arbiter (QoS handlers stay on
-    Python; the controller and kernel run natively)."""
+    """pageFTL devices behind the DRR arbiter: the QoS host's handlers,
+    the controller and the kernel all run natively."""
     fleet = FleetSpec(devices=8, ftl_name="pageFTL", ops_per_device=60,
                       tenants=2, arbiter="drr", seed=2,
                       config=fleet_config())
@@ -249,7 +251,7 @@ def test_tenanted_fleet_fingerprint(use_core):
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
-    assert coverage["native"] > 0 and coverage["python"]["handler"] > 0
+    assert coverage["native"] > 0 and coverage["python"]["handler"] == 0
 
 
 def test_snapshot_bytes(use_core):
@@ -585,27 +587,38 @@ def test_controller_subclass_and_bare_trace(use_core):
     assert all(recorder for _, recorder in native)
 
 
-@pytest.mark.parametrize("owner,name", [
-    (StorageController, "_on_op_done"),
-    (PolicyManager, "choose"),
-    (TwoPhaseBlockManager, "take_msb"),
-], ids=["on_op_done", "choose", "take_msb"])
-def test_patched_class_keeps_python(use_core, monkeypatch, owner, name):
+def drr_qos_run():
+    """A pageFTL device behind a DRR-arbitrated two-tenant QoS host."""
+    from tests.test_native_qos import serve
+    return serve(arbiter="drr", ops=10)
+
+
+@pytest.mark.parametrize("owner,name,workload", [
+    (StorageController, "_on_op_done", None),
+    (PolicyManager, "choose", None),
+    (TwoPhaseBlockManager, "take_msb", None),
+    (DeficitRoundRobinArbiter, "select", drr_qos_run),
+    (PageFtl, "_allocate", lambda: small_run(PageFtl, ops=60)),
+    (BaseFtl, "_host_write_op", None),
+], ids=["on_op_done", "choose", "take_msb", "select", "allocate",
+        "host_write_op"])
+def test_patched_class_keeps_python(use_core, monkeypatch, owner, name,
+                                    workload):
     """Wrapping a method the core replaces, or one the Python form of a
     replaced method calls (as a profiler does), keeps the whole run on
     Python: the wrapper sees as many calls as on the oracle."""
     stock = getattr(owner, name)
     calls = []
 
-    def wrapped(self, *args):
+    def wrapped(self, *args, **kwargs):
         calls.append(args)
-        return stock(self, *args)
+        return stock(self, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapped)
 
     def run():
         del calls[:]
-        return small_run(ops=60), len(calls)
+        return (workload or (lambda: small_run(ops=60)))(), len(calls)
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
@@ -1034,6 +1047,31 @@ def test_pageftl_fleet(use_core):
 
     oracle, native, coverage = both(use_core, run)
     assert native == oracle
+    assert coverage["native"] > 0
+
+
+def test_gc_erase_of_a_live_block_raises(use_core):
+    """The native erase step delegates MappingTable.note_block_erased's
+    check: erasing a victim that still holds valid pages raises the
+    same ValueError on both cores."""
+    def run():
+        sim, _, _, ftl, controller = build(PageFtl)
+        fill = ClosedLoopHost(sim, controller, [sequential_fill(300)])
+        fill.start()
+        sim.run()
+        victim = min(ftl.chips[0].full_blocks)
+        ftl._begin_gc(0, victim, background=False)
+        ftl.chips[0].gc.valid_lpns.clear()  # "drained", pages still valid
+        host = ClosedLoopHost(sim, controller,
+                              [[StreamOp(RequestKind.WRITE, 0, 1)]])
+        host.start()
+        with pytest.raises(ValueError) as caught:
+            sim.run()
+        return str(caught.value), outcome(sim, ftl, controller.stats)
+
+    oracle, native, coverage = both(use_core, run)
+    assert native == oracle
+    assert "valid pages" in oracle[0]
     assert coverage["native"] > 0
 
 
@@ -1579,18 +1617,19 @@ def streaming_with_think(sim, controller, span):
     return host, lambda: (host.issued, list(host._pulled))
 
 
-@pytest.mark.parametrize("make_host,stock", [
-    (qos_hooked, False),
-    (custom_callback, False),
-    (subclassed_host, False),
-    (generator_host, True),
+@pytest.mark.parametrize("make_host,stock_callouts", [
+    (qos_hooked, 2),
+    (custom_callback, None),
+    (subclassed_host, None),
+    (generator_host, 0),
 ], ids=["qos-hook", "custom-callback", "subclassed-host", "generator"])
-def test_completion_contract(use_core, make_host, stock):
+def test_completion_contract(use_core, make_host, stock_callouts):
     """Every kind of completion gives the same outcome and pop order on
-    both cores.  The stock closed-loop completion (a generator-backed
-    streaming host here) runs natively and never drops the core's
-    cache; a completion hook, a custom callback or a host subclass is
-    called, and drops it."""
+    both cores.  The stock completions (a generator-backed streaming
+    host; two SLO accountants chained through ``_ChainedHook``) run
+    natively and never drop the core's cache: the accountants call
+    Python only to open the tenant's account, once each.  A custom
+    callback or a host subclass is called, and drops it."""
     def run():
         return completion_run(make_host)
 
@@ -1598,8 +1637,8 @@ def test_completion_contract(use_core, make_host, stock):
     assert native == oracle
     assert oracle[2] is None and oracle[3]
     callouts, flushes = counts
-    if stock:
-        assert callouts == flushes == 0
+    if stock_callouts is not None:
+        assert callouts == stock_callouts and flushes == 0
     else:
         assert callouts > 0 and flushes == callouts
     assert coverage["native"] > 0
@@ -1683,6 +1722,37 @@ def armed_webserver_coverage():
     return sim.processed, NATIVE.coverage()
 
 
+def tenanted_fleet_device_coverage():
+    """One tenanted pageFTL fleet device (seed 1, OLTP on two tenants
+    behind DRR, 200 ops) on the core, after its build and warm-up."""
+    fleet = FleetSpec(devices=1, ftl_name="pageFTL", preset="oltp",
+                      ops_per_device=200, tenants=2, arbiter="drr", seed=1)
+    device = DeviceRun.build(fleet.device_specs()[0])
+    NATIVE.reset_coverage()
+    device.run_to_completion()
+    return device.measured_events, NATIVE.coverage()
+
+
+def ntrx_erase_coverage():
+    """An ``ntrx_write``-shaped run: NTRX (seed 1, 1,500 ops) on a warmed
+    small flexFTL device, long enough for GC to erase victims."""
+    config = runner.ExperimentConfig(geometry=GEOMETRY)
+    sim, array, _, ftl, controller = runner.build_system("flexFTL", config)
+    footprint = int(ftl.logical_pages * 0.75)
+    runner.warmup_device(sim, controller, ftl, config, footprint=footprint)
+    scenario = make_preset("ntrx", footprint=footprint, total_ops=1500,
+                           seed=1)
+    host = StreamingClosedLoopHost(
+        sim, controller, [iter(ops) for ops in scenario.op_streams()],
+        scenario=scenario)
+    NATIVE.reset_coverage()
+    start, erased = sim.processed, array.total_erases
+    host.start()
+    sim.run()
+    assert array.total_erases - erased == 570
+    return sim.processed - start, NATIVE.coverage()
+
+
 @pytest.mark.parametrize("workload,events,native,callouts,flushes", [
     (fig8_write_coverage, 23693, 23693,
      {"nand": 0, "ftl": 1563, "host": 0, "scenario": 0, "physics": 0,
@@ -1692,15 +1762,24 @@ def armed_webserver_coverage():
      {"nand": 0, "ftl": 645, "host": 0, "scenario": 1928, "physics": 5413,
       "tracer": 8, "kernel": 0, "controller": 0},
      no_flushes(handler=82)),
-], ids=["fig8_write", "webserver_armed"])
+    (tenanted_fleet_device_coverage, 750, 750,
+     {"nand": 0, "ftl": 64, "host": 0, "scenario": 0, "physics": 0,
+      "tracer": 0, "kernel": 0, "controller": 0},
+     no_flushes()),
+    (ntrx_erase_coverage, 15585, 15585,
+     {"nand": 0, "ftl": 3091, "host": 0, "scenario": 1500, "physics": 0,
+      "tracer": 0, "kernel": 0, "controller": 0},
+     no_flushes()),
+], ids=["fig8_write", "webserver_armed", "tenanted_fleet_device",
+        "ntrx_erases"])
 def test_callout_counters(use_core, workload, events, native, callouts,
                           flushes):
     """The core's calls into Python, by layer, and its cache flushes,
     pinned on two seeded runs.  They are plain counts, deterministic
     per seed, so a coverage regression fails here whatever the host's
-    speed.  NAND calls and request completions never leave the core,
-    and nothing drops its cache but the events handled in Python (the
-    armed run's retry ladder).  A change that moves work into or out
+    speed.  NAND calls, request completions, the QoS host's events and
+    GC's victim erases never leave the core, and nothing drops its cache
+    but the events handled in Python (the armed run's retry ladder).  A change that moves work into or out
     of the core updates these numbers on purpose."""
     use_core(True)
     processed, coverage = workload()
